@@ -4,6 +4,8 @@
 # pass. The extended chaos soak is tag-gated (make chaos) and not part of
 # this gate; the race pass uses -short to skip the exhaustive model
 # explorations, which dominate runtime even without the race detector.
+# Both race passes run at GOMAXPROCS=4, so the explorer's workers (and
+# the hooks they call) overlap even on a one-core host.
 set -eu
 
 echo "== gofmt =="
@@ -23,17 +25,19 @@ go build ./...
 echo "== go test ./... =="
 go test ./...
 
-echo "== go test -race -short ./... =="
-go test -race -short ./...
+echo "== GOMAXPROCS=4 go test -race -short ./... =="
+GOMAXPROCS=4 go test -race -short ./...
 
 # The parallel engine, the batch checker, the daemon's job queue, the
-# specialized monitors and the run-history store are the packages whose
-# correctness depends on cross-goroutine coordination (the monitors via
-# the checker's engine dispatch and the cross-validation harness, the
-# store via concurrent Put/List and crash-replay); run their full
-# (non-short) suites under the race detector.
-echo "== go test -race ./internal/sched/ ./internal/check/ ./internal/jobs/ ./internal/monitor/ ./internal/runstore/ =="
-go test -race ./internal/sched/ ./internal/check/ ./internal/jobs/ ./internal/monitor/ ./internal/runstore/
+# specialized monitors, the run-history store and the rely/guarantee
+# hooks are the packages whose correctness depends on cross-goroutine
+# coordination (the monitors via the checker's engine dispatch and the
+# cross-validation harness, the store via concurrent Put/List and
+# crash-replay, rg via explorer hooks called from every worker); run
+# their full (non-short) suites under the race detector. internal/model
+# stays -short (above): its full suite takes minutes under -race.
+echo "== GOMAXPROCS=4 go test -race ./internal/sched/ ./internal/check/ ./internal/jobs/ ./internal/monitor/ ./internal/runstore/ ./internal/rg/ =="
+GOMAXPROCS=4 go test -race ./internal/sched/ ./internal/check/ ./internal/jobs/ ./internal/monitor/ ./internal/runstore/ ./internal/rg/
 
 # Guard the deprecation sweep: the context-first API is the only one,
 # and none of the deleted legacy symbols may reappear in Go sources.
@@ -419,6 +423,32 @@ assert rec["labels"]["spec"] == "exchanger", rec
 print("verdict cache: hit counted, no second search (1 record on /runsz)")
 ' "$url1"
 
+# 2b. Long-poll: GET /jobs/{id}?wait=10s on a just-submitted job answers
+#     with the verdict as soon as it is decided, well before the bound;
+#     a malformed wait is a 400.
+python3 -c '
+import json, sys, time, urllib.error, urllib.request
+base = sys.argv[1].rstrip("/")
+hist = ("inv t1 E.exchange 5\ninv t2 E.exchange 6\n"
+        "res t1 E.exchange (true,6)\nres t2 E.exchange (true,5)\n")
+r = urllib.request.Request(base + "/jobs",
+                           data=json.dumps({"spec": "exchanger", "history": hist}).encode(),
+                           headers={"Content-Type": "application/json"})
+job = json.load(urllib.request.urlopen(r, timeout=10))
+start = time.time()
+got = json.load(urllib.request.urlopen(base + "/jobs/" + job["id"] + "?wait=10s", timeout=30))
+took = time.time() - start
+assert got["state"] == "done" and got["verdict"] == "OK", got
+assert took < 5, "long-poll answered after %.1fs, want well before the 10s bound" % took
+try:
+    urllib.request.urlopen(base + "/jobs/" + job["id"] + "?wait=bogus", timeout=10)
+    raise AssertionError("?wait=bogus was accepted")
+except urllib.error.HTTPError as e:
+    assert e.code == 400, e.code
+print("long-poll: %s answered %s after %.3fs of a 10s wait; ?wait=bogus is 400"
+      % (job["id"], got["verdict"], took))
+' "$url1"
+
 # 3. Admission control: a burst-1 instance sheds the second submission
 #    with 429 + Retry-After; the client backs off, retries and
 #    succeeds (exit 0 for both histories).
@@ -526,7 +556,7 @@ print("run store: pre-restart verdict r-1 served after restart (%d records)" % l
 ' "$url3"
 kill -TERM "$pid3"
 wait "$pid3"
-echo "cald smoke: round trip, cache hit, 429 backoff, drain + journal resume + durable run history"
+echo "cald smoke: round trip, cache hit, long-poll, 429 backoff, drain + journal resume + durable run history"
 
 # Smoke the streaming API end to end under the race detector: open a
 # stream against cald with a tiny fallback window, watch it over SSE

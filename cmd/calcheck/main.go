@@ -175,11 +175,12 @@ func run() int {
 }
 
 // runRemote is -remote: each input is submitted to the cald daemon as a
-// calgo.job/v1 document and polled to a verdict. The client absorbs the
-// daemon's admission control — 429/503/5xx answers are retried with
-// jittered exponential backoff honouring Retry-After — so a throttled
-// run degrades to slower, not to failed. -timeout travels with the job
-// as its server-side (clamped) deadline.
+// calgo.job/v1 document and long-polled to a verdict, which arrives as
+// soon as the daemon decides it rather than at a poll tick. The client
+// absorbs the daemon's admission control — 429/503/5xx answers are
+// retried with jittered exponential backoff honouring Retry-After — so
+// a throttled run degrades to slower, not to failed. -timeout travels
+// with the job as its server-side (clamped) deadline.
 func runRemote(shared *cliflags.Set, base string, inputs []input, specName, object string, threads int, mode string, verbose bool) int {
 	if err := shared.Start(); err != nil {
 		shared.Logger().Error("startup failed", "err", err)

@@ -12,7 +12,9 @@
 // serves:
 //
 //	POST /jobs                submit a history + spec selection -> job id
-//	GET  /jobs/{id}           poll a verdict (?watch=1 streams via SSE)
+//	GET  /jobs/{id}           poll a verdict (?wait=10s long-polls until
+//	                          it is decided, at most 30s; ?watch=1
+//	                          streams via SSE)
 //	GET  /jobs                list jobs
 //	POST /jobs/{id}/cancel    cancel a pending or running job
 //	POST /streams             open an online checking stream

@@ -29,7 +29,10 @@ type Client struct {
 	// caps it (default 5s).
 	BaseDelay time.Duration
 	MaxDelay  time.Duration
-	// PollInterval paces Wait's verdict polling (default 100ms).
+	// PollInterval is the minimum gap between two of Wait's requests
+	// (default 100ms). Each request long-polls (?wait=), so a verdict
+	// arrives as soon as it is decided; the gap only paces a daemon that
+	// answers at once, such as one that ignores wait or is draining.
 	PollInterval time.Duration
 	// ClientID is sent as X-Calgo-Client for per-client rate limiting.
 	ClientID string
@@ -162,7 +165,17 @@ func (c *Client) post(ctx context.Context, body []byte) (Job, time.Duration, err
 
 // Get fetches one job's current document.
 func (c *Client) Get(ctx context.Context, id string) (Job, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/jobs/"+id, nil)
+	return c.get(ctx, id, 0)
+}
+
+// get fetches one job's document, long-polling up to wait for it to
+// become terminal when wait is positive.
+func (c *Client) get(ctx context.Context, id string, wait time.Duration) (Job, error) {
+	url := c.Base + "/jobs/" + id
+	if wait > 0 {
+		url += "?wait=" + wait.String()
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return Job{}, err
 	}
@@ -182,17 +195,30 @@ func (c *Client) Get(ctx context.Context, id string) (Job, error) {
 	return job, nil
 }
 
-// Wait polls until the job reaches a terminal state. Transient poll
-// failures (the daemon restarting mid-drain, say) are retried with the
-// same backoff as submissions.
+// longPoll is the ?wait= Wait asks for: the server's MaxWait, or half
+// the transport timeout when that is shorter, so the daemon answers
+// before the client gives up on the request.
+func (c *Client) longPoll() time.Duration {
+	if t := c.http().Timeout; t > 0 && t/2 < MaxWait {
+		return t / 2
+	}
+	return MaxWait
+}
+
+// Wait long-polls until the job reaches a terminal state, starting
+// requests at most once per PollInterval. Transient poll failures (the
+// daemon restarting mid-drain, say) are retried up to the submission
+// retry budget.
 func (c *Client) Wait(ctx context.Context, id string) (Job, error) {
 	interval := c.PollInterval
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
+	wait := c.longPoll()
 	failures := 0
 	for {
-		job, err := c.Get(ctx, id)
+		next := time.Now().Add(interval)
+		job, err := c.get(ctx, id, wait)
 		switch {
 		case err == nil:
 			failures = 0
@@ -212,7 +238,7 @@ func (c *Client) Wait(ctx context.Context, id string) (Job, error) {
 		select {
 		case <-ctx.Done():
 			return Job{}, ctx.Err()
-		case <-time.After(interval):
+		case <-time.After(time.Until(next)):
 		}
 	}
 }

@@ -146,3 +146,96 @@ func TestClientHonorsContextCancellation(t *testing.T) {
 		t.Error("cancellation took far longer than the context allowed")
 	}
 }
+
+// TestClientWaitLongPolls: Wait hears the verdict when it is decided,
+// not at its next poll. With a one-minute PollInterval and a 5s
+// context, a client that slept between polls would time out.
+func TestClientWaitLongPolls(t *testing.T) {
+	m, srv, release, queued := longPollFixture(t)
+	c := NewClient(srv.URL)
+	c.PollInterval = time.Minute
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		if !subscribed(m, queued.ID) {
+			t.Error("Wait never long-polled the job")
+		}
+		release <- struct{}{} // the worker runs the queued job
+		release <- struct{}{}
+	}()
+	defer func() { <-released }() // the fixture's cleanup closes release
+	job, err := c.Wait(ctx, queued.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != StateDone || job.Verdict != "OK" {
+		t.Errorf("Wait = state %s verdict %q, want done OK", job.State, job.Verdict)
+	}
+}
+
+// TestClientWaitPacesDaemonIgnoringWait: against a daemon that answers
+// every GET at once, Wait still starts at most one request per
+// PollInterval, as it did before long-polling.
+func TestClientWaitPacesDaemonIgnoringWait(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	var gets atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		state := StatePending
+		if gets.Add(1) >= 4 {
+			state = StateDone
+		}
+		writeJob(w, http.StatusOK, Job{Schema: Schema, ID: "j-000001", State: state, Verdict: "OK"})
+	}))
+	defer srv.Close()
+
+	c := NewClient(srv.URL)
+	c.PollInterval = interval
+	start := time.Now()
+	job, err := c.Wait(context.Background(), "j-000001")
+	took := time.Since(start)
+	if err != nil || job.State != StateDone {
+		t.Fatalf("Wait = %+v, %v", job, err)
+	}
+	if n := gets.Load(); n != 4 {
+		t.Fatalf("daemon saw %d GETs, want 4", n)
+	}
+	if took < 3*interval {
+		t.Errorf("4 GETs in %v: more than one per %v", took, interval)
+	}
+}
+
+// TestClientLongPollStaysUnderTimeout: the wait Wait asks for ends
+// before the transport would give up on the request.
+func TestClientLongPollStaysUnderTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		http *http.Client
+		want time.Duration
+	}{
+		{nil, 15 * time.Second}, // the default 30s transport timeout
+		{&http.Client{Timeout: 2 * time.Second}, time.Second},
+		{&http.Client{Timeout: 5 * time.Minute}, MaxWait},
+		{&http.Client{}, MaxWait}, // no transport timeout
+	} {
+		asked := make(chan string, 1)
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			asked <- r.URL.Query().Get("wait")
+			writeJob(w, http.StatusOK, Job{Schema: Schema, ID: "j-000001", State: StateDone})
+		}))
+		c := NewClient(srv.URL)
+		c.HTTP = tc.http
+		if _, err := c.Wait(context.Background(), "j-000001"); err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		got, err := time.ParseDuration(<-asked)
+		if err != nil || got != tc.want {
+			t.Errorf("timeout %v: asked wait=%v (%v), want %v", c.http().Timeout, got, err, tc.want)
+		}
+		if timeout := c.http().Timeout; timeout > 0 && got >= timeout {
+			t.Errorf("asked wait %v is not below the %v transport timeout", got, timeout)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -18,8 +19,14 @@ import (
 //	                       Retry-After when shed or rate-limited, 503
 //	                       when draining
 //	GET  /jobs             list all known jobs
-//	GET  /jobs/{id}        poll one job; ?watch=1 streams state changes
-//	                       as Server-Sent Events until the job finishes
+//	GET  /jobs/{id}        poll one job; ?wait=<duration> long-polls:
+//	                       the answer comes as soon as the job is
+//	                       terminal, or with the current snapshot when
+//	                       the wait (clamped to MaxWait) runs out, the
+//	                       request ends or the manager drains; a
+//	                       malformed or negative wait is 400. ?watch=1
+//	                       streams state changes as Server-Sent Events
+//	                       until the job finishes
 //	POST /jobs/{id}/cancel cancel a pending or running job
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -110,16 +117,68 @@ func (m *Manager) handleList(w http.ResponseWriter, _ *http.Request) {
 
 func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if r.URL.Query().Get("watch") != "" {
+	q := r.URL.Query()
+	if q.Get("watch") != "" {
 		m.watchJob(w, r, id)
 		return
 	}
-	job, ok := m.Get(id)
+	wait, err := parseWait(q.Get("wait"))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	job, ok := m.await(r.Context(), id, wait)
 	if !ok {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
 	writeJob(w, http.StatusOK, job)
+}
+
+// MaxWait bounds a long-poll: a longer ?wait= is clamped to it. It
+// matches the default per-job deadline (Config.MaxTimeout), so one
+// request can cover a default-budget job.
+const MaxWait = 30 * time.Second
+
+// parseWait reads a ?wait= value: a Go duration, clamped to MaxWait.
+// Absent means no wait.
+func parseWait(s string) (time.Duration, error) {
+	if s == "" {
+		return 0, nil
+	}
+	d, err := time.ParseDuration(s)
+	if err != nil || d < 0 {
+		return 0, fmt.Errorf("bad wait %q: want a non-negative duration such as 10s", s)
+	}
+	return min(d, MaxWait), nil
+}
+
+// await returns the job's snapshot once it is terminal, or its current
+// one when wait runs out, ctx ends or the manager drains — whichever
+// comes first. It rides on the same Watch subscription as ?watch=1.
+func (m *Manager) await(ctx context.Context, id string, wait time.Duration) (Job, bool) {
+	if wait <= 0 {
+		return m.Get(id)
+	}
+	_, updates, stop, err := m.Watch(id)
+	if err != nil {
+		return Job{}, false
+	}
+	defer stop()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
+	for {
+		select {
+		case _, open := <-updates:
+			if open {
+				continue // not terminal: the channel closes after the terminal frame, or on Drain
+			}
+		case <-timer.C:
+		case <-ctx.Done():
+		case <-m.Stopping():
+		}
+		return m.Get(id)
+	}
 }
 
 func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {

@@ -391,3 +391,189 @@ func TestHTTPMetricsIntegration(t *testing.T) {
 		}
 	}
 }
+
+// getWait sends GET /jobs/{id}?wait=<wait> and returns the status, the
+// decoded document (on 200) and how long the answer took. It reports
+// failures with t.Error, so tests may call it from other goroutines.
+func getWait(t *testing.T, url, id, wait string) (int, Job, time.Duration) {
+	t.Helper()
+	start := time.Now()
+	resp, err := http.Get(url + "/jobs/" + id + "?wait=" + wait)
+	if err != nil {
+		t.Error(err)
+		return 0, Job{}, 0
+	}
+	defer resp.Body.Close()
+	var j Job
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
+			t.Errorf("decoding job: %v", err)
+		}
+	}
+	return resp.StatusCode, j, time.Since(start)
+}
+
+// answer is one getWait result.
+type answer struct {
+	code int
+	job  Job
+	took time.Duration
+}
+
+// goGetWait runs getWait on its own goroutine and delivers the answer.
+func goGetWait(t *testing.T, url, id, wait string) <-chan answer {
+	got := make(chan answer, 1)
+	go func() {
+		code, job, took := getWait(t, url, id, wait)
+		got <- answer{code, job, took}
+	}()
+	return got
+}
+
+// longPollFixture starts a one-worker server whose worker is parked in
+// OnDone after a first job, and queues a second job behind it: the
+// returned job stays pending until release gets a value.
+func longPollFixture(t *testing.T) (*Manager, *httptest.Server, chan struct{}, Job) {
+	t.Helper()
+	release := make(chan struct{}, 8)
+	m, srv := newTestServer(t, Config{QueueDepth: 4, Workers: 1, CacheEntries: -1,
+		OnDone: func(Job) { <-release }})
+	t.Cleanup(func() { close(release) })
+	first := decodeJob(t, postJob(t, srv.URL, Request{Spec: "exchanger", History: satHistory(1, 2)}))
+	waitTerminal(t, m, first.ID)
+	queued := decodeJob(t, postJob(t, srv.URL, Request{Spec: "exchanger", History: satHistory(3, 4)}))
+	return m, srv, release, queued
+}
+
+// subscribed waits until id has a Watch subscriber, such as an open
+// long-poll, and reports whether one appeared within 5s.
+func subscribed(m *Manager, id string) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		m.mu.Lock()
+		n := len(m.watchers[id])
+		m.mu.Unlock()
+		if n > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// TestHTTPLongPollReturnsAtTerminal pins the point of ?wait=: the
+// answer comes when the job is decided, not when the bound runs out.
+func TestHTTPLongPollReturnsAtTerminal(t *testing.T) {
+	m, srv, release, queued := longPollFixture(t)
+
+	got := goGetWait(t, srv.URL, queued.ID, "10s")
+	if !subscribed(m, queued.ID) {
+		t.Fatal("the long-poll never subscribed to the job")
+	}
+	release <- struct{}{} // the worker runs the queued job
+	release <- struct{}{}
+	a := <-got
+	if a.code != http.StatusOK || a.job.State != StateDone || a.job.Verdict != "OK" {
+		t.Fatalf("long-poll = %d state %s verdict %q, want 200 done OK", a.code, a.job.State, a.job.Verdict)
+	}
+	if a.took >= 5*time.Second {
+		t.Errorf("long-poll took %v; it must answer at the terminal transition, not the 10s bound", a.took)
+	}
+}
+
+// TestHTTPLongPollBoundReturnsSnapshot: when the wait runs out first,
+// the answer is the current, non-terminal snapshot.
+func TestHTTPLongPollBoundReturnsSnapshot(t *testing.T) {
+	m, srv, _, queued := longPollFixture(t)
+	code, job, took := getWait(t, srv.URL, queued.ID, "150ms")
+	if code != http.StatusOK || job.ID != queued.ID || job.State != StatePending {
+		t.Fatalf("bounded long-poll = %d %+v, want 200 with the pending snapshot", code, job)
+	}
+	if took < 150*time.Millisecond || took >= 5*time.Second {
+		t.Errorf("bounded long-poll took %v, want about 150ms", took)
+	}
+	// The expired wait leaves no subscription behind, not even an
+	// empty entry.
+	m.mu.Lock()
+	_, held := m.watchers[queued.ID]
+	m.mu.Unlock()
+	if held {
+		t.Error("an expired long-poll left its job in the watcher table")
+	}
+}
+
+// TestHTTPLongPollTerminalAnswersAtOnce: a job that is already decided
+// does not wait at all.
+func TestHTTPLongPollTerminalAnswersAtOnce(t *testing.T) {
+	m, srv := newTestServer(t, Config{Workers: 1})
+	job := decodeJob(t, postJob(t, srv.URL, Request{Spec: "exchanger", History: unsatHistory}))
+	waitTerminal(t, m, job.ID)
+	code, got, took := getWait(t, srv.URL, job.ID, "30s")
+	if code != http.StatusOK || got.State != StateDone || got.Verdict != "VIOLATION" {
+		t.Fatalf("long-poll of a finished job = %d %+v", code, got)
+	}
+	if took >= 5*time.Second {
+		t.Errorf("long-poll of a finished job took %v", took)
+	}
+}
+
+// TestHTTPLongPollReleasedByDrain: draining answers an open long-poll
+// with the pending snapshot at once instead of holding it to the bound.
+func TestHTTPLongPollReleasedByDrain(t *testing.T) {
+	m, srv, release, queued := longPollFixture(t)
+
+	got := goGetWait(t, srv.URL, queued.ID, "20s")
+	if !subscribed(m, queued.ID) {
+		t.Fatal("the long-poll never subscribed to the job")
+	}
+	// The worker stays parked in OnDone, so only the drain can end the
+	// wait.
+	drained := make(chan int, 1)
+	go func() { drained <- m.Drain(context.Background()) }()
+	a := <-got
+	if a.code != http.StatusOK || a.job.State != StatePending {
+		t.Errorf("long-poll during drain = %d state %s, want 200 pending", a.code, a.job.State)
+	}
+	if a.took >= 10*time.Second {
+		t.Errorf("drain released the long-poll after %v, want promptly", a.took)
+	}
+	release <- struct{}{} // the parked worker exits, so Drain returns
+	if pending := <-drained; pending != 1 {
+		t.Errorf("Drain left %d pending jobs, want 1", pending)
+	}
+}
+
+// TestHTTPLongPollBadRequests: an unknown id is 404, a malformed or
+// negative wait 400.
+func TestHTTPLongPollBadRequests(t *testing.T) {
+	m, srv := newTestServer(t, Config{Workers: 1})
+	job := decodeJob(t, postJob(t, srv.URL, Request{Spec: "exchanger", History: satHistory(1, 2)}))
+	waitTerminal(t, m, job.ID)
+
+	if code, _, _ := getWait(t, srv.URL, "j-404404", "1s"); code != http.StatusNotFound {
+		t.Errorf("long-poll of an unknown id = %d, want 404", code)
+	}
+	for _, bad := range []string{"bogus", "-1s", "10"} {
+		if code, _, _ := getWait(t, srv.URL, job.ID, bad); code != http.StatusBadRequest {
+			t.Errorf("wait=%s: status %d, want 400", bad, code)
+		}
+	}
+	if code, _, _ := getWait(t, srv.URL, job.ID, "0s"); code != http.StatusOK {
+		t.Errorf("wait=0s: status %d, want 200", code)
+	}
+}
+
+// TestParseWaitClamps pins the server-side bound on ?wait=.
+func TestParseWaitClamps(t *testing.T) {
+	for in, want := range map[string]time.Duration{
+		"":        0,
+		"0s":      0,
+		"250ms":   250 * time.Millisecond,
+		"30s":     MaxWait,
+		"1h":      MaxWait,
+		"876000h": MaxWait,
+	} {
+		got, err := parseWait(in)
+		if err != nil || got != want {
+			t.Errorf("parseWait(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+}

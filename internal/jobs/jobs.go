@@ -108,8 +108,9 @@ type Job struct {
 	// restarted daemon.
 	Resumed bool `json:"resumed,omitempty"`
 
-	// parsed is the validated history; not serialized (the journal
-	// re-parses Request.History on replay).
+	// parsed is the validated history, held only while the job is
+	// pending; not serialized (the journal re-parses Request.History on
+	// replay).
 	parsed history.History
 	// cancelRequested marks a running job whose context has been
 	// cancelled by Cancel; the worker finalizes it as StateCanceled.

@@ -348,6 +348,7 @@ func (m *Manager) Cancel(id string) error {
 	case StatePending:
 		j.State = StateCanceled
 		j.FinishedNS = time.Now().UnixNano()
+		j.parsed = nil
 		err := m.journal.cancel(id)
 		m.cCanceled.Inc()
 		m.notifyLocked(j)
@@ -391,7 +392,13 @@ func (m *Manager) Watch(id string) (Job, <-chan Job, func(), error) {
 		ws := m.watchers[id]
 		for i, w := range ws {
 			if w == ch {
-				m.watchers[id] = append(ws[:i], ws[i+1:]...)
+				if len(ws) == 1 {
+					// Last one out: a job whose long-polls ran out before
+					// it finished keeps no entry.
+					delete(m.watchers, id)
+				} else {
+					m.watchers[id] = append(ws[:i], ws[i+1:]...)
+				}
 				return
 			}
 		}
@@ -513,6 +520,7 @@ func (m *Manager) runJob(id string) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(j.Request.TimeoutMS)*time.Millisecond)
 	m.cancels[id] = cancel
 	h := j.parsed
+	j.parsed = nil // retained jobs keep only the text; replay re-parses it
 	req := j.Request
 	m.notifyLocked(j)
 	m.mu.Unlock()

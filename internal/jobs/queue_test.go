@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"calgo/internal/history"
 	"calgo/internal/obs"
 )
 
@@ -469,6 +470,43 @@ func TestSubmitCancelShedRaces(t *testing.T) {
 			t.Errorf("job %s left in state %s after drain", j.ID, j.State)
 		}
 	}
+}
+
+// TestJobsDropParsedHistory: once a job leaves the pending state only
+// its text is kept, so retained jobs do not hold parsed events.
+func TestJobsDropParsedHistory(t *testing.T) {
+	m, release := blockingManager(t, Config{QueueDepth: 4})
+	defer drain(t, m)
+	defer close(release)
+
+	parsed := func(id string) history.History {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return m.jobs[id].parsed
+	}
+	done, err := m.Submit("c", Request{Spec: "exchanger", History: satHistory(1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, m, done.ID) // worker now blocked in OnDone
+	if h := parsed(done.ID); h != nil {
+		t.Errorf("finished job still holds %d parsed events", len(h))
+	}
+
+	pending, err := m.Submit("c", Request{Spec: "exchanger", History: satHistory(3, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if parsed(pending.ID) == nil {
+		t.Fatal("pending job lost its parsed history before a worker took it")
+	}
+	if err := m.Cancel(pending.ID); err != nil {
+		t.Fatal(err)
+	}
+	if h := parsed(pending.ID); h != nil {
+		t.Errorf("canceled pending job still holds %d parsed events", len(h))
+	}
+	release <- struct{}{}
 }
 
 // TestWatchDeliversTerminalFrame pins the watcher contract: the channel

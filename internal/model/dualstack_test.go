@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"calgo/internal/model"
@@ -68,7 +69,7 @@ func TestDualStackModelOutcomeCoverage(t *testing.T) {
 		{model.Push(7)},
 		{model.Pop()},
 	}})
-	fulfilments, cancels, ordinary := 0, 0, 0
+	var fulfilments, cancels, ordinary atomic.Int64
 	_, err := sched.Explore(context.Background(),
 		init,
 		sched.WithDeadlockAllowed(),
@@ -77,11 +78,11 @@ func TestDualStackModelOutcomeCoverage(t *testing.T) {
 			for _, el := range s.Trace {
 				switch {
 				case el.Size() == 2:
-					fulfilments++
+					fulfilments.Add(1)
 				case el.Ops[0].Method == spec.MethodPop && !el.Ops[0].Ret.B:
-					cancels++
+					cancels.Add(1)
 				case el.Ops[0].Method == spec.MethodPop:
-					ordinary++
+					ordinary.Add(1)
 				}
 			}
 			return nil
@@ -89,16 +90,17 @@ func TestDualStackModelOutcomeCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fulfilments == 0 {
+	if fulfilments.Load() == 0 {
 		t.Error("no execution fulfilled a waiting pop")
 	}
-	if cancels == 0 {
+	if cancels.Load() == 0 {
 		t.Error("no execution cancelled a reservation")
 	}
-	if ordinary == 0 {
+	if ordinary.Load() == 0 {
 		t.Error("no execution popped an ordinary data node")
 	}
-	t.Logf("outcomes: %d fulfilments, %d cancellations, %d ordinary pops", fulfilments, cancels, ordinary)
+	t.Logf("outcomes: %d fulfilments, %d cancellations, %d ordinary pops",
+		fulfilments.Load(), cancels.Load(), ordinary.Load())
 }
 
 func TestDualStackModelDefaults(t *testing.T) {

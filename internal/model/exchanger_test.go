@@ -3,6 +3,7 @@ package model_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"calgo/internal/model"
@@ -87,7 +88,7 @@ func TestExploreSingleThread(t *testing.T) {
 // two threads (the third fails), and some execution fails all three.
 func TestExploreFindsCanonicalOutcomes(t *testing.T) {
 	init := model.NewExchanger(model.ExchangerConfig{Programs: [][]int64{{3}, {4}, {7}}})
-	swaps, allFail := 0, 0
+	var swaps, allFail atomic.Int64
 	_, err := sched.Explore(context.Background(),
 		init,
 		sched.WithTerminal(func(st sched.State) error {
@@ -99,22 +100,22 @@ func TestExploreFindsCanonicalOutcomes(t *testing.T) {
 				}
 			}
 			if hasSwap {
-				swaps++
+				swaps.Add(1)
 			} else {
-				allFail++
+				allFail.Add(1)
 			}
 			return nil
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if swaps == 0 {
+	if swaps.Load() == 0 {
 		t.Error("no execution produced a successful swap")
 	}
-	if allFail == 0 {
+	if allFail.Load() == 0 {
 		t.Error("no execution failed all exchanges")
 	}
-	t.Logf("terminal outcomes: %d with swap, %d all-fail", swaps, allFail)
+	t.Logf("terminal outcomes: %d with swap, %d all-fail", swaps.Load(), allFail.Load())
 }
 
 // TestBugsAreCaught demonstrates the soundness of the verification battery:

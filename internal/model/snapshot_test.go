@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"calgo/internal/model"
@@ -40,6 +41,7 @@ func TestSnapshotModelThreeParticipants(t *testing.T) {
 // blocks, a pair plus a singleton (in both orders), and one triple.
 func TestSnapshotModelBlockSizes(t *testing.T) {
 	init := model.NewSnapshot(model.ISConfig{Values: []int64{1, 2, 3}})
+	var mu sync.Mutex
 	shapes := map[string]int{}
 	_, err := sched.Explore(context.Background(),
 		init,
@@ -50,7 +52,9 @@ func TestSnapshotModelBlockSizes(t *testing.T) {
 			for _, el := range blocks {
 				key += string(rune('0' + el.Size()))
 			}
+			mu.Lock()
 			shapes[key]++
+			mu.Unlock()
 			return nil
 		}))
 	if err != nil {

@@ -3,6 +3,7 @@ package model_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"calgo/internal/model"
@@ -60,7 +61,7 @@ func TestStackModelContentionObserved(t *testing.T) {
 		{model.Push(1)},
 		{model.Push(2)},
 	}})
-	misses := 0
+	var misses atomic.Int64
 	_, err := sched.Explore(context.Background(),
 		init,
 		sched.WithTerminal(func(st sched.State) error {
@@ -68,7 +69,7 @@ func TestStackModelContentionObserved(t *testing.T) {
 			for _, el := range s.Trace {
 				op := el.Ops[0]
 				if op.Method == spec.MethodPush && !op.Ret.B {
-					misses++
+					misses.Add(1)
 				}
 			}
 			return nil
@@ -76,10 +77,10 @@ func TestStackModelContentionObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if misses == 0 {
+	if misses.Load() == 0 {
 		t.Error("no interleaving produced a contended push")
 	}
-	t.Logf("contended pushes across terminals: %d", misses)
+	t.Logf("contended pushes across terminals: %d", misses.Load())
 }
 
 func exploreES(t *testing.T, cfg model.ESConfig, maxStates int) sched.Stats {
@@ -153,7 +154,7 @@ func TestElimStackEliminationObserved(t *testing.T) {
 			{model.Pop()},
 		},
 	})
-	eliminations := 0
+	var eliminations atomic.Int64
 	_, err := sched.Explore(context.Background(),
 		init,
 		sched.WithDeadlockAllowed(),
@@ -164,7 +165,7 @@ func TestElimStackEliminationObserved(t *testing.T) {
 					a, b := el.Ops[0], el.Ops[1]
 					sentinel := int64(1 << 60)
 					if (a.Arg.N == sentinel) != (b.Arg.N == sentinel) {
-						eliminations++
+						eliminations.Add(1)
 					}
 				}
 			}
@@ -173,10 +174,10 @@ func TestElimStackEliminationObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eliminations == 0 {
+	if eliminations.Load() == 0 {
 		t.Error("no interleaving eliminated the pair through the exchanger")
 	}
-	t.Logf("eliminating terminals: %d", eliminations)
+	t.Logf("eliminating terminals: %d", eliminations.Load())
 }
 
 // TestElimStackBoundedRetryHalts checks that the retry bound actually cuts
@@ -190,24 +191,24 @@ func TestElimStackBoundedRetryHalts(t *testing.T) {
 			{model.Pop()}, // lone popper on an empty stack must halt
 		},
 	})
-	halted := 0
+	var halted atomic.Int64
 	stats, err := sched.Explore(context.Background(),
 		init,
 		sched.WithDeadlockAllowed(),
 		sched.WithTerminal(func(st sched.State) error {
 			s := st.(*model.ESState)
 			if !s.Done() {
-				halted++
+				halted.Add(1)
 			}
 			return model.VerifyCAL(spec.NewStack(s.Object()), s.Project, true)(st)
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if halted == 0 {
+	if halted.Load() == 0 {
 		t.Error("lone popper should halt at the retry bound")
 	}
-	t.Logf("halted terminals: %d of %d", halted, stats.Terminals)
+	t.Logf("halted terminals: %d of %d", halted.Load(), stats.Terminals)
 }
 
 func TestStackModelDefaults(t *testing.T) {

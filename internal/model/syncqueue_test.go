@@ -2,6 +2,8 @@ package model_test
 
 import (
 	"context"
+	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"calgo/internal/model"
@@ -56,7 +58,7 @@ func TestSyncQueueModelOutcomes(t *testing.T) {
 		{model.Put(42)},
 		{model.Take()},
 	}})
-	handOffs, allFail := 0, 0
+	var handOffs, allFail atomic.Int64
 	_, err := sched.Explore(context.Background(),
 		init,
 		sched.WithTerminal(func(st sched.State) error {
@@ -68,22 +70,22 @@ func TestSyncQueueModelOutcomes(t *testing.T) {
 				}
 			}
 			if saw {
-				handOffs++
+				handOffs.Add(1)
 			} else {
-				allFail++
+				allFail.Add(1)
 			}
 			return nil
 		}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if handOffs == 0 {
+	if handOffs.Load() == 0 {
 		t.Error("no execution performed a hand-off")
 	}
-	if allFail == 0 {
+	if allFail.Load() == 0 {
 		t.Error("no execution failed both attempts")
 	}
-	t.Logf("terminals: %d hand-off, %d all-fail", handOffs, allFail)
+	t.Logf("terminals: %d hand-off, %d all-fail", handOffs.Load(), allFail.Load())
 }
 
 // TestSyncQueueModelSameKindNeverPair: two puts can never hand off to each
@@ -99,7 +101,7 @@ func TestSyncQueueModelSameKindNeverPair(t *testing.T) {
 			s := st.(*model.SQState)
 			for _, el := range s.Trace {
 				if el.Size() == 2 {
-					t.Fatalf("two puts paired: %s", el)
+					return fmt.Errorf("two puts paired: %s", el)
 				}
 			}
 			return model.VerifyCAL(spec.NewSyncQueue("SQ"), nil, true)(st)

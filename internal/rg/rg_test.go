@@ -2,7 +2,10 @@ package rg_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"calgo/internal/history"
@@ -11,15 +14,16 @@ import (
 	"calgo/internal/sched"
 )
 
-// walk collects every transition of the model's full state graph.
-func walk(t *testing.T, cfg model.ExchangerConfig, visit func(pre, post *model.ExchangerState, s sched.Succ)) {
+// walk visits every transition of the model's full state graph. The
+// explorer calls visit from several workers at once, so visit must be
+// safe for concurrent use; its first error fails the test.
+func walk(t *testing.T, cfg model.ExchangerConfig, visit func(pre, post *model.ExchangerState, s sched.Succ) error) {
 	t.Helper()
 	init := model.NewExchanger(cfg)
 	_, err := sched.Explore(context.Background(),
 		init,
 		sched.WithTransition(func(from sched.State, s sched.Succ) error {
-			visit(from.(*model.ExchangerState), s.Next.(*model.ExchangerState), s)
-			return nil
+			return visit(from.(*model.ExchangerState), s.Next.(*model.ExchangerState), s)
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -34,17 +38,21 @@ func TestJustifyMatchesLabels(t *testing.T) {
 		rg.ActionInit: true, rg.ActionClean: true, rg.ActionPass: true,
 		rg.ActionXchg: true, rg.ActionFail: true,
 	}
+	var mu sync.Mutex
 	seen := map[string]int{}
 	walk(t, model.ExchangerConfig{Programs: [][]int64{{3}, {4}, {7}}},
-		func(pre, post *model.ExchangerState, s sched.Succ) {
+		func(pre, post *model.ExchangerState, s sched.Succ) error {
 			action, err := rg.Justify(pre, post, history.ThreadID(s.Thread+1))
 			if err != nil {
-				t.Fatalf("unjustified transition %q: %v", s.Label, err)
+				return fmt.Errorf("unjustified transition %q: %v", s.Label, err)
 			}
+			mu.Lock()
 			seen[action]++
+			mu.Unlock()
 			if named[s.Label] && action != s.Label {
-				t.Fatalf("label %q justified as %q", s.Label, action)
+				return fmt.Errorf("label %q justified as %q", s.Label, action)
 			}
+			return nil
 		})
 	// Every Figure 4 action must actually occur somewhere in the graph.
 	for a := range named {
@@ -58,19 +66,20 @@ func TestJustifyMatchesLabels(t *testing.T) {
 // TestJustifyRejectsWrongThread: an XCHG justified for the stepping thread
 // must not be attributable to its partner (the guarantee is per-thread).
 func TestJustifyRejectsWrongThread(t *testing.T) {
-	checked := 0
+	var checked atomic.Int64
 	walk(t, model.ExchangerConfig{Programs: [][]int64{{3}, {4}}},
-		func(pre, post *model.ExchangerState, s sched.Succ) {
+		func(pre, post *model.ExchangerState, s sched.Succ) error {
 			if s.Label != rg.ActionXchg {
-				return
+				return nil
 			}
-			checked++
+			checked.Add(1)
 			other := history.ThreadID((s.Thread+1)%2 + 1)
 			if action, err := rg.Justify(pre, post, other); err == nil {
-				t.Fatalf("XCHG of t%d wrongly justified for %s as %s", s.Thread+1, other, action)
+				return fmt.Errorf("XCHG of t%d wrongly justified for %s as %s", s.Thread+1, other, action)
 			}
+			return nil
 		})
-	if checked == 0 {
+	if checked.Load() == 0 {
 		t.Error("no XCHG transitions found")
 	}
 }
@@ -79,15 +88,16 @@ func TestJustifyRejectsWrongThread(t *testing.T) {
 // thread-attributed.
 func TestJustifyRejectsWrongThreadPassInit(t *testing.T) {
 	walk(t, model.ExchangerConfig{Programs: [][]int64{{3}, {4}}},
-		func(pre, post *model.ExchangerState, s sched.Succ) {
+		func(pre, post *model.ExchangerState, s sched.Succ) error {
 			if s.Label != rg.ActionInit && s.Label != rg.ActionPass {
-				return
+				return nil
 			}
 			other := history.ThreadID((s.Thread+1)%2 + 1)
 			action, err := rg.Justify(pre, post, other)
 			if err == nil && action != rg.ActionTau && action != rg.ActionAlloc {
-				t.Fatalf("%s of t%d justified for %s as %s", s.Label, s.Thread+1, other, action)
+				return fmt.Errorf("%s of t%d justified for %s as %s", s.Label, s.Thread+1, other, action)
 			}
+			return nil
 		})
 }
 

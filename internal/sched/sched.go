@@ -104,16 +104,20 @@ type Options struct {
 // Option configures an exploration; see Explore.
 type Option func(*Options)
 
-// WithInvariant checks fn once on every reached state.
+// WithInvariant checks fn once on every reached state. fn runs
+// concurrently from up to Parallelism workers and must be safe for
+// concurrent use: guard anything it writes with a mutex or atomics.
 func WithInvariant(fn func(State) error) Option { return func(o *Options) { o.Invariant = fn } }
 
 // WithTransition checks fn on every explored transition; use it for
-// rely/guarantee action justification.
+// rely/guarantee action justification. fn runs concurrently from up to
+// Parallelism workers and must be safe for concurrent use.
 func WithTransition(fn func(from State, s Succ) error) Option {
 	return func(o *Options) { o.Transition = fn }
 }
 
-// WithTerminal checks fn on every Done state.
+// WithTerminal checks fn on every Done state. fn runs concurrently from
+// up to Parallelism workers and must be safe for concurrent use.
 func WithTerminal(fn func(State) error) Option { return func(o *Options) { o.Terminal = fn } }
 
 // WithMaxStates bounds the number of distinct states visited before the

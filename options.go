@@ -203,18 +203,23 @@ func WithStreamContext(ctx context.Context) Option {
 
 // Explorer-only options.
 
-// WithInvariant checks fn once on every reached model state.
+// WithInvariant checks fn once on every reached model state. fn runs
+// concurrently from up to WithParallelism workers and must be safe for
+// concurrent use: guard anything it writes with a mutex or atomics.
 func WithInvariant(fn func(ModelState) error) Option {
 	return Option{name: "WithInvariant", sched: sched.WithInvariant(fn)}
 }
 
 // WithTransition checks fn on every explored transition; use it for
-// rely/guarantee action justification.
+// rely/guarantee action justification. fn runs concurrently from up to
+// WithParallelism workers and must be safe for concurrent use.
 func WithTransition(fn func(from ModelState, s ModelSucc) error) Option {
 	return Option{name: "WithTransition", sched: sched.WithTransition(fn)}
 }
 
-// WithTerminal checks fn on every terminal model state.
+// WithTerminal checks fn on every terminal model state. fn runs
+// concurrently from up to WithParallelism workers and must be safe for
+// concurrent use.
 func WithTerminal(fn func(ModelState) error) Option {
 	return Option{name: "WithTerminal", sched: sched.WithTerminal(fn)}
 }
