@@ -96,7 +96,12 @@ esac
 # must still exit 1.
 echo "== calcheck -explain/-dot/-report smoke =="
 explain_dir=$(mktemp -d)
-trap 'rm -rf "$explain_dir"' EXIT
+# Every background process started below is recorded in bg_pids. On any
+# exit, passing or failing midway, the trap kills whichever are still
+# running, reaps them, and only then removes the scratch directory.
+bg_pids=""
+trap 'for p in $bg_pids; do kill -KILL "$p" 2>/dev/null || true; done; wait; rm -rf "$explain_dir"' EXIT
+trap 'exit 1' HUP INT TERM
 if go run ./cmd/calcheck -spec stack -object S -explain \
     -dot "$explain_dir/v.dot" -report "$explain_dir/v.json" \
     examples/histories/stack-violation.txt >"$explain_dir/v.out" 2>&1; then
@@ -145,11 +150,17 @@ echo "calreport: report JSON -> Markdown round-trip OK"
 # monitor-attributed reason. The Sat queue run also serves /metrics to
 # pin the Prometheus spelling, calgo_monitor_dispatch_total.
 echo "== calcheck -engine auto monitor smoke =="
+# The serving smokes run built binaries, so $! is the tool itself:
+# killing a `go run` parent would leave its child serving for the whole
+# -serve-linger.
+go build -o "$explain_dir/calcheck" ./cmd/calcheck
+go build -o "$explain_dir/calexplore" ./cmd/calexplore
 mon_log="$explain_dir/mon-serve.log"
-go run ./cmd/calcheck -spec queue -object Q -engine auto \
+"$explain_dir/calcheck" -spec queue -object Q -engine auto \
     -serve 127.0.0.1:0 -serve-linger 30s \
     examples/histories/queue-fifo.txt >"$explain_dir/mon-sat.out" 2>"$mon_log" &
 mon_pid=$!
+bg_pids="$bg_pids $mon_pid"
 url=""
 i=0
 while [ $i -lt 150 ]; do
@@ -213,9 +224,10 @@ print("monitor fast path: %d runs all dispatched, zero DFS fallbacks" % len(sys.
 # exploration finishes so the assertions race nothing.
 echo "== calexplore -serve ops endpoint smoke =="
 serve_log="$explain_dir/serve.log"
-go run ./cmd/calexplore -target exchanger -values 3,4 -serve 127.0.0.1:0 -serve-linger 30s \
+"$explain_dir/calexplore" -target exchanger -values 3,4 -serve 127.0.0.1:0 -serve-linger 30s \
     >"$explain_dir/serve.out" 2>"$serve_log" &
 serve_pid=$!
+bg_pids="$bg_pids $serve_pid"
 url=""
 i=0
 while [ $i -lt 150 ]; do
@@ -356,7 +368,6 @@ check_committed_deltas "$explain_dir/committed-query.json" "calreport -query"
 # resumes the still-pending job in a fresh instance.
 echo "== cald daemon smoke =="
 go build -race -o "$explain_dir/cald" ./cmd/cald
-go build -o "$explain_dir/calcheck" ./cmd/calcheck
 
 start_cald() {
     # $1: log file; remaining args: extra cald flags.
@@ -365,6 +376,7 @@ start_cald() {
     shift
     "$explain_dir/cald" -addr 127.0.0.1:0 "$@" >"$cald_log" 2>&1 &
     cald_pid=$!
+    bg_pids="$bg_pids $cald_pid"
     cald_url=""
     i=0
     while [ $i -lt 150 ]; do
@@ -649,108 +661,6 @@ assert "<table>" in html and "bench-BENCH_2026-08-06" in html, html[:400]
 check_committed_deltas "$explain_dir/queryz.json" "/queryz"
 kill -TERM "$pid5"
 wait "$pid5"
-
-# Smoke the fleet observability plane end to end: two race-built cald
-# daemons with distinct durable stores, each seeded with a two-point
-# bench trajectory over the calgo.storeapi/v1 remote-store protocol
-# (calbench -auto against the daemon URL — no local files involved).
-# A federated calreport regression query must merge both shards
-# worst-first with per-cell origin labels; a third daemon started with
-# -fleet must answer the same question on /queryz?fleet=1. Then one
-# shard dies: the fleet answer must flip to degraded:true and still
-# carry the surviving shard's rows with exact origin attribution.
-echo "== fleet federation smoke =="
-start_cald "$explain_dir/fleet-a.log" -store "$explain_dir/fleet-a"
-url_a="$cald_url"
-pid_a="$cald_pid"
-start_cald "$explain_dir/fleet-b.log" -store "$explain_dir/fleet-b"
-url_b="$cald_url"
-pid_b="$cald_pid"
-for u in "$url_a" "$url_b"; do
-    go run ./cmd/calbench -dur 5ms -table queues -auto "$u" >/dev/null 2>&1
-    seed2=$(go run ./cmd/calbench -dur 5ms -table queues -auto "$u" 2>&1)
-    case "$seed2" in
-    *"delta vs baseline"*) : ;;
-    *)
-        echo "calbench -auto $u did not resolve its baseline from the daemon:" >&2
-        echo "$seed2" >&2
-        exit 1
-        ;;
-    esac
-done
-echo "calbench -auto: both shards seeded over calgo.storeapi/v1, remote baselines resolved"
-
-start_cald "$explain_dir/fleet-c.log" -fleet "$url_a,$url_b"
-url_c="$cald_url"
-pid_c="$cald_pid"
-
-go run ./cmd/calreport -store "$url_a,$url_b" -query "regressions" \
-    -o "$explain_dir/fleet.json"
-python3 -c '
-import json, sys, urllib.request
-from urllib.parse import urlparse
-
-def check_merged(res, hosts):
-    assert res["schema"] == "calgo.query/v1" and res["mode"] == "regressions", res
-    assert not res.get("degraded"), res
-    targets = res["targets"]
-    assert {t["target"] for t in targets} == hosts, targets
-    assert all(not t.get("error") for t in targets), targets
-    deltas = res.get("deltas") or []
-    assert {d["origin"] for d in deltas} == hosts, deltas
-    pcts = [d["delta_pct"] for d in deltas]
-    assert pcts == sorted(pcts), "fleet deltas not worst-first"
-    return len(deltas)
-
-hosts = {urlparse(u).netloc for u in sys.argv[2:4]}
-n = check_merged(json.load(open(sys.argv[1])), hosts)
-fleet_url = sys.argv[4].rstrip("/") + "/queryz?fleet=1&mode=regressions"
-m = check_merged(json.load(urllib.request.urlopen(fleet_url, timeout=30)), hosts)
-print("fleet rollup: %d (calreport) / %d (/queryz?fleet=1) deltas merged "
-      "worst-first from %s" % (n, m, ", ".join(sorted(hosts))))
-' "$explain_dir/fleet.json" "$url_a" "$url_b" "$url_c"
-
-# Kill shard b: the same questions must now degrade honestly instead of
-# failing — partial rows from a, an error attributed to b.
-kill -TERM "$pid_b"
-wait "$pid_b"
-degraded_txt=$(go run ./cmd/calreport -store "$url_a,$url_b" -query "regressions")
-case "$degraded_txt" in
-*"DEGRADED"*) : ;;
-*)
-    echo "federated query with a dead shard did not render DEGRADED:" >&2
-    echo "$degraded_txt" >&2
-    exit 1
-    ;;
-esac
-go run ./cmd/calreport -store "$url_a,$url_b" -query "regressions" \
-    -o "$explain_dir/fleet-degraded.json"
-python3 -c '
-import json, sys, urllib.request
-from urllib.parse import urlparse
-
-def check_degraded(res, live, dead):
-    assert res.get("degraded") is True, res
-    tmap = {t["target"]: t for t in res["targets"]}
-    assert set(tmap) == {live, dead}, tmap
-    assert tmap[dead].get("error"), "dead shard has no attributed error: %r" % tmap
-    assert not tmap[live].get("error"), tmap
-    deltas = res.get("deltas") or []
-    assert deltas and all(d["origin"] == live for d in deltas), deltas
-    return len(deltas)
-
-live, dead = (urlparse(u).netloc for u in sys.argv[2:4])
-n = check_degraded(json.load(open(sys.argv[1])), live, dead)
-fleet_url = sys.argv[4].rstrip("/") + "/queryz?fleet=1&mode=regressions"
-m = check_degraded(json.load(urllib.request.urlopen(fleet_url, timeout=60)), live, dead)
-print("fleet degradation: %d/%d surviving rows, all origin=%s, error pinned on %s"
-      % (n, m, live, dead))
-' "$explain_dir/fleet-degraded.json" "$url_a" "$url_b" "$url_c"
-kill -TERM "$pid_c"
-wait "$pid_c"
-kill -TERM "$pid_a"
-wait "$pid_a"
-echo "fleet smoke: merged rollup, /queryz?fleet=1, degraded partial results"
 
 # Smoke the retention policy on a live daemon: reopen a store that
 # already holds two bench trajectory points under keep-bench 1 with a

@@ -27,11 +27,8 @@
 // first open), compares against the newest trajectory point by
 // generation timestamp, writes this run's tables as
 // DIR/BENCH_<date>.json and records them as a new store record —
-// queryable later via `calreport -store DIR -query regressions` or a
-// serving daemon's /queryz. -auto also accepts a daemon URL
-// (http://host:port): the baseline is fetched from and this run's
-// tables are recorded to that daemon's store over calgo.storeapi/v1;
-// no local BENCH file is written unless -json names one.
+// queryable later via `calreport -store DIR -query regressions` or the
+// /queryz of a cald serving that directory.
 //
 // The shared observability flags apply to the benchmark process itself:
 // -timeout hard-caps the whole run (an expired run prints UNKNOWN and
@@ -75,7 +72,7 @@ var (
 	spin     = flag.Int("spin", 1, "exchanger partner-wait spin iterations (1 is best on few cores; raise on large machines)")
 	jsonPath = flag.String("json", "", "also write the sweep tables as JSON to this path (e.g. BENCH_<date>.json)")
 	compare  = flag.String("compare", "", "compare this run's rates against a baseline BENCH_*.json and print per-cell deltas")
-	auto     = flag.String("auto", "", "accumulate the perf trajectory in this run store — a directory or a daemon URL (http://host:port): compare against the newest trajectory point there (unless -compare is set) and record this run's tables (plus BENCH_<date>.json in a directory, unless -json is set)")
+	auto     = flag.String("auto", "", "accumulate the perf trajectory in the run-history store in this directory: compare against the newest trajectory point there (unless -compare is set), write BENCH_<date>.json there (unless -json is set) and record this run's tables in the store")
 	gate     = flag.Float64("gate", 0, "with -compare: exit 1 when any cell regresses by more than this percentage (0 = warn only)")
 	repeat   = flag.Int("repeat", 1, "measure every table this many times and keep each cell's best rate — the min-of-N noise floor that keeps -compare from flagging scheduler noise as regression")
 )
@@ -250,13 +247,6 @@ func run() int {
 	// though they share BENCH_<date>.json).
 	if autoStore != nil {
 		if doc := snapshotReport(); len(doc.Tables) > 0 {
-			if doc.Generated == "" {
-				// No -json write stamped the document (remote -auto writes
-				// no local file); stamp it here so the record is queryable.
-				doc.GOMAXPROCS = runtime.GOMAXPROCS(0)
-				doc.Window = duration.String()
-				doc.Generated = time.Now().UTC().Format(time.RFC3339)
-			}
 			rec := runstore.BenchRecord("", &doc)
 			if err := autoStore.Put(rec); err != nil {
 				shared.Logger().Error("recording trajectory point", "err", err)
@@ -289,47 +279,36 @@ func run() int {
 	return exit
 }
 
-// The -auto run-history plumbing: the store behind the -auto spec (an
-// FS store whose segments live beside the BENCH_*.json files, or a
-// Remote client when -auto is a daemon URL) and the baseline bench
-// document chosen from it.
+// The -auto run-history plumbing: the FS store whose segments live
+// beside the BENCH_*.json files in the -auto directory, and the
+// baseline bench document chosen from it.
 var (
 	autoStore     runstore.Store
 	autoBase      *jsonReport
 	autoBaseLabel string
 )
 
-// resolveAuto opens the run-history store behind -auto. A directory
-// additionally ingests any committed BENCH_*.json files not yet
-// recorded (idempotent: deterministic per-file IDs) and lands this
-// run's tables in BENCH_<today>.json (unless -json is set); a daemon
-// URL talks calgo.storeapi/v1 and writes no local file. Either way the
-// newest bench record *by generation timestamp* becomes the comparison
-// baseline — not the lexically newest filename, which stops being date
-// order the moment a file name doesn't embed one — and the run's
-// tables are recorded in the store afterwards. Explicit -compare/-json
-// win.
+// resolveAuto opens the run-history store in the -auto directory,
+// ingests any committed BENCH_*.json files not yet recorded
+// (idempotent: deterministic per-file IDs) and lands this run's tables
+// in BENCH_<today>.json (unless -json is set). The newest bench record
+// *by generation timestamp* becomes the comparison baseline — not the
+// lexically newest filename, which stops being date order the moment a
+// file name doesn't embed one — and the run's tables are recorded in
+// the store afterwards. Explicit -compare/-json win.
 func resolveAuto(shared *cliflags.Set) error {
-	if runstore.IsStoreURL(*auto) {
-		st, err := runstore.OpenRemote(*auto, runstore.RemoteOptions{})
-		if err != nil {
-			return err
-		}
-		autoStore = st
-	} else {
-		st, err := runstore.OpenFS(*auto, runstore.FSOptions{Metrics: shared.Metrics(), Logger: shared.Logger()})
-		if err != nil {
-			return err
-		}
-		autoStore = st
-		if n, err := runstore.IngestBenchDir(st, *auto, shared.Logger()); err != nil {
-			return err
-		} else if n > 0 {
-			shared.Logger().Info("ingested committed trajectory files", "dir", *auto, "files", n)
-		}
-		if *jsonPath == "" {
-			*jsonPath = filepath.Join(*auto, "BENCH_"+time.Now().UTC().Format("2006-01-02")+".json")
-		}
+	st, err := runstore.OpenFS(*auto, runstore.FSOptions{Metrics: shared.Metrics(), Logger: shared.Logger()})
+	if err != nil {
+		return err
+	}
+	autoStore = st
+	if n, err := runstore.IngestBenchDir(st, *auto, shared.Logger()); err != nil {
+		return err
+	} else if n > 0 {
+		shared.Logger().Info("ingested committed trajectory files", "dir", *auto, "files", n)
+	}
+	if *jsonPath == "" {
+		*jsonPath = filepath.Join(*auto, "BENCH_"+time.Now().UTC().Format("2006-01-02")+".json")
 	}
 	if *compare != "" {
 		return nil // an explicit baseline wins over the store's newest

@@ -22,9 +22,6 @@
 //	GET  /streams/{id}        poll the frame (?watch=1 streams via SSE)
 //	POST /streams/{id}/close  run end-of-stream checks; final frame
 //	/metrics /statusz /flightz /runsz /queryz /debug/pprof/   the ops surface
-//	/storeapi/v1/*            calgo.storeapi/v1 remote-store protocol —
-//	                          every daemon is a federation backend
-//	/queryz?fleet=1           fan the query out across -fleet peers
 //
 // Robustness properties (see EXPERIMENTS.md "Checking as a service"):
 // bounded queue with 429 + Retry-After load shedding; per-client
@@ -81,8 +78,6 @@ func run() int {
 		cacheEntries = flag.Int("cache-entries", 1024, "verdict-cache capacity (identical histories answered without re-searching; negative disables)")
 		journalPath  = flag.String("journal", "", "crash-safe job journal path; pending jobs are resumed on restart (\"\" = volatile)")
 		storeDir     = flag.String("store", "", "durable run-history store directory; every completed job and stream verdict is persisted and served across restarts on /runsz and /queryz (\"\" = bounded in-memory ring)")
-		fleet        = flag.String("fleet", "", "comma-separated peer daemon URLs (http://host:port) backing /queryz?fleet=1: one query fanned out across the fleet, merged by time with origin labels, degrading honestly when peers are down")
-		fleetTimeout = flag.Duration("fleet-timeout", 5*time.Second, "per-peer deadline for fleet fan-out queries")
 		retMaxAge    = flag.Duration("retention-max-age", 0, "expire run records older than this (0 = unbounded); applied crash-safely every -retention-interval")
 		retMaxRecs   = flag.Int("retention-max-records", 0, "keep only the newest N run records overall (0 = unbounded)")
 		retKeepBench = flag.Int("retention-keep-bench", 0, "keep only the newest N bench records (0 = unbounded)")
@@ -131,20 +126,8 @@ func run() int {
 		store = fs
 		logger.Info("run-history store open", "dir", *storeDir, "records", fs.Len())
 	}
-	var fleetStore runstore.Store
-	if *fleet != "" {
-		fs, err := runstore.OpenStores(*fleet, runstore.FSOptions{},
-			runstore.FederatedOptions{PerTargetTimeout: *fleetTimeout, Logger: logger})
-		if err != nil {
-			logger.Error("opening fleet targets", "fleet", *fleet, "err", err)
-			return 2
-		}
-		defer fs.Close()
-		fleetStore = fs
-		logger.Info("fleet configured", "targets", *fleet)
-	}
 	ops := serve.New(serve.Config{Tool: "cald", Metrics: metrics, Flight: flight, Live: live,
-		Store: store, Fleet: fleetStore})
+		Store: store})
 
 	mgr, err := jobs.New(jobs.Config{
 		Workers:          *workers,
@@ -219,7 +202,7 @@ func run() int {
 	live.SetPhase("serving")
 	logger.Info("cald serving",
 		"url", fmt.Sprintf("http://%s/", bound),
-		"endpoints", "/jobs /streams /metrics /statusz /flightz /runsz /queryz /storeapi/ /debug/pprof/")
+		"endpoints", "/jobs /streams /metrics /statusz /flightz /runsz /queryz /debug/pprof/")
 
 	ctx, stop := cliflags.SignalContext()
 	defer stop()

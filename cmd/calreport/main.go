@@ -10,22 +10,16 @@
 //	calreport -metrics m.json -trace t.jsonl # assemble a report from a
 //	                                         # saved metrics/flight pair
 //	calreport -store DIR -query EXPR         # query a run-history store
-//	calreport -store http://a:9,http://b:9 \
-//	          -query "regressions top=5"     # fleet rollup across daemons
 //
-// -store points at a run-history store — a directory (as maintained by
-// `cald -store` or `calbench -auto`), a daemon URL (http://host:port,
-// speaking calgo.storeapi/v1), or a comma-separated list of either,
-// which queries the whole fleet: results merge by time with an origin
-// label per record, regressions re-rank worst-first across shards, and
-// a down daemon degrades the answer (DEGRADED header + per-target
-// errors) instead of failing it. -query asks the question in the
-// shared query grammar — `runs tool=cald verdict=VIOLATION since=168h`
-// lists matching records, `regressions table=B1 top=5` computes
-// per-cell perf deltas between the two newest trajectory points (see
-// EXPERIMENTS.md "Run-history store" and "Fleet observability"). -o
-// renders the result as an aligned table (stdout), calgo.query/v1 JSON
-// (.json) or Markdown (anything else).
+// -store points at a run-history store directory (as maintained by
+// `cald -store` or `calbench -auto`); a running daemon answers the
+// same questions on /queryz. -query asks the question in the shared
+// query grammar — `runs tool=cald verdict=VIOLATION since=168h` lists
+// matching records, `regressions table=B1 top=5` computes per-cell
+// perf deltas between the two newest trajectory points (see
+// EXPERIMENTS.md "Run-history store"). -o renders the result as an
+// aligned table (stdout), calgo.query/v1 JSON (.json) or Markdown
+// (anything else).
 //
 // The positional argument must be a calgo.report/v1 document as written
 // by any calgo CLI's -report flag. Alternatively -metrics takes a
@@ -68,7 +62,7 @@ func run() int {
 		tracePath   = flag.String("trace", "", "assemble from this saved -trace JSON-lines file (the events become the flight-recorder tail)")
 		tool        = flag.String("tool", "", "tool name to stamp on an assembled report (default: the metrics document's tool)")
 		out         = flag.String("o", "-", "output path; \"-\" = stdout, a .json path re-emits calgo.report/v1 JSON, anything else renders Markdown")
-		storeSpec   = flag.String("store", "", "query a run-history store instead of rendering a report file: a directory (as maintained by cald -store or calbench -auto), a daemon URL (http://host:port), or a comma-separated fleet of either")
+		storeDir    = flag.String("store", "", "query the run-history store in this directory (as maintained by cald -store or calbench -auto) instead of rendering a report file")
 		queryExpr   = flag.String("query", "", "with -store: the query expression — e.g. 'runs tool=cald verdict=VIOLATION since=168h' or 'regressions table=B1 top=5' (default: list every record)")
 	)
 	flag.Usage = func() {
@@ -78,8 +72,8 @@ func run() int {
 	shared := cliflags.RegisterOps("calreport")
 	flag.Parse()
 
-	if *storeSpec != "" {
-		if err := runQuery(*storeSpec, *queryExpr, *out, shared); err != nil {
+	if *storeDir != "" {
+		if err := runQuery(*storeDir, *queryExpr, *out); err != nil {
 			shared.Logger().Error("querying run store", "err", err)
 			return 2
 		}
@@ -120,26 +114,20 @@ func run() int {
 	return 0
 }
 
-// runQuery answers a -query expression over a run-history store (a
-// directory, a daemon URL, or a comma-separated fleet of either): the
-// result goes to stdout as an aligned table, to a .json path as the
-// calgo.query/v1 document, or to any other path as Markdown.
-func runQuery(spec, expr, out string, shared *cliflags.Set) error {
-	st, err := calgo.OpenRunStores(spec, calgo.FSStoreOptions{},
-		calgo.FederatedStoreOptions{Logger: shared.Logger()})
+// runQuery answers a -query expression over the run-history store in
+// dir: the result goes to stdout as an aligned table, to a .json path
+// as the calgo.query/v1 document, or to any other path as Markdown.
+func runQuery(dir, expr, out string) error {
+	st, err := calgo.OpenFSStore(dir, calgo.FSStoreOptions{})
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	// A plain local directory additionally ingests committed
-	// BENCH_*.json files beside the store on first sight (idempotent),
-	// so a directory of trajectory files is queryable with no prior
-	// bookkeeping run. Remote and federated specs skip this: daemons
-	// own their stores, and the federated view is read-only.
-	if !strings.Contains(spec, ",") && !calgo.IsRunStoreURL(spec) {
-		if _, err := calgo.IngestBenchFiles(st, spec, nil); err != nil {
-			return err
-		}
+	// Committed BENCH_*.json files beside the store are ingested on
+	// first sight (idempotent), so a directory of trajectory files is
+	// queryable with no prior bookkeeping run.
+	if _, err := calgo.IngestBenchFiles(st, dir, nil); err != nil {
+		return err
 	}
 	q, err := calgo.ParseRunQuery(expr, time.Now())
 	if err != nil {

@@ -13,10 +13,13 @@ import (
 // life is a "submit" record, optionally followed by exactly one
 // terminal record ("done" or "cancel"); a submit with no terminal
 // record is a job the previous process never finished — the resume set.
+// A "seq" record carries the highest job ID issued so far across
+// compaction, so a restarted daemon never reissues an ID a client may
+// still be waiting on.
 type journalRecord struct {
-	Op  string `json:"op"` // submit | done | cancel
+	Op  string `json:"op"` // submit | done | cancel | seq
 	Job *Job   `json:"job,omitempty"`
-	// Terminal-record fields (op done/cancel).
+	// Terminal-record fields (op done/cancel); ID alone for op seq.
 	ID         string `json:"id,omitempty"`
 	State      State  `json:"state,omitempty"`
 	Verdict    string `json:"verdict,omitempty"`
@@ -38,51 +41,56 @@ type journal struct {
 }
 
 // openJournal opens (creating if absent) the journal at path, replays
-// it, compacts it down to the still-pending submissions, and returns
-// the journal ready for appending plus the pending jobs in submission
-// order. Corrupt trailing lines — the torn write of a crash — are
+// it, compacts it down to the high-water ID and the still-pending
+// submissions, and returns the journal ready for appending, the
+// pending jobs in submission order and the highest job number ever
+// issued. Corrupt trailing lines — the torn write of a crash — are
 // ignored; corrupt interior lines are skipped with the same logic
 // (a record either parses or contributes nothing).
-func openJournal(path string) (*journal, []*Job, error) {
+func openJournal(path string) (*journal, []*Job, int, error) {
 	pending, maxID, err := replayJournal(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	// Compact: rewrite the journal as just the pending submissions, via
-	// temp file + rename so a crash mid-compaction leaves the old
-	// journal intact.
+	// Compact: rewrite the journal as the high-water ID plus the pending
+	// submissions, via temp file + rename so a crash mid-compaction
+	// leaves the old journal intact.
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: compacting journal: %w", err)
+		return nil, nil, 0, fmt.Errorf("jobs: compacting journal: %w", err)
 	}
 	enc := json.NewEncoder(f)
+	recs := []journalRecord{{Op: "seq", ID: jobID(maxID)}}
 	for _, j := range pending {
-		if err := enc.Encode(journalRecord{Op: "submit", Job: j}); err != nil {
+		recs = append(recs, journalRecord{Op: "submit", Job: j})
+	}
+	for _, rec := range recs {
+		if err := enc.Encode(rec); err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("jobs: compacting journal: %w", err)
+			return nil, nil, 0, fmt.Errorf("jobs: compacting journal: %w", err)
 		}
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("jobs: compacting journal: %w", err)
+		return nil, nil, 0, fmt.Errorf("jobs: compacting journal: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return nil, nil, fmt.Errorf("jobs: compacting journal: %w", err)
+		return nil, nil, 0, fmt.Errorf("jobs: compacting journal: %w", err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		return nil, nil, fmt.Errorf("jobs: compacting journal: %w", err)
+		return nil, nil, 0, fmt.Errorf("jobs: compacting journal: %w", err)
 	}
 	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("jobs: opening journal: %w", err)
+		return nil, nil, 0, fmt.Errorf("jobs: opening journal: %w", err)
 	}
-	_ = maxID // folded into pending job ids; the manager derives nextID
-	return &journal{f: af, enc: json.NewEncoder(af), path: path}, pending, nil
+	return &journal{f: af, enc: json.NewEncoder(af), path: path}, pending, maxID, nil
 }
 
 // replayJournal reads the journal and returns the pending jobs (in
-// submission order) and the highest numeric job id seen.
+// submission order) and the highest numeric job id seen, counting the
+// high-water mark a previous compaction kept in its "seq" record.
 func replayJournal(path string) ([]*Job, int, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -120,6 +128,10 @@ func replayJournal(path string) ([]*Job, int, error) {
 			}
 		case "done", "cancel":
 			delete(jobs, rec.ID)
+		case "seq":
+			if n := idNumber(rec.ID); n > maxID {
+				maxID = n
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -133,6 +145,9 @@ func replayJournal(path string) ([]*Job, int, error) {
 	}
 	return pending, maxID, nil
 }
+
+// jobID formats job number n as its "j-<n>" id.
+func jobID(n int) string { return fmt.Sprintf("j-%06d", n) }
 
 // idNumber extracts the numeric suffix of a "j-<n>" job id, 0 otherwise.
 func idNumber(id string) int {

@@ -147,7 +147,7 @@ func New(cfg Config) (*Manager, error) {
 	var pending []*Job
 	if cfg.JournalPath != "" {
 		var err error
-		m.journal, pending, err = openJournal(cfg.JournalPath)
+		m.journal, pending, m.nextID, err = openJournal(cfg.JournalPath)
 		if err != nil {
 			return nil, err
 		}
@@ -173,9 +173,6 @@ func New(cfg Config) (*Manager, error) {
 		j.State = StatePending
 		j.Resumed = true
 		j.parsed = h
-		if n := idNumber(j.ID); n > m.nextID {
-			m.nextID = n
-		}
 		m.jobs[j.ID] = j
 		m.order = append(m.order, j.ID)
 		m.queue <- j.ID
@@ -258,7 +255,7 @@ func (m *Manager) Submit(client string, req Request) (Job, error) {
 		}
 		m.mu.Lock()
 		m.nextID++
-		job.ID = fmt.Sprintf("j-%06d", m.nextID)
+		job.ID = jobID(m.nextID)
 		m.jobs[job.ID] = &job
 		m.order = append(m.order, job.ID)
 		snap := job
@@ -278,7 +275,7 @@ func (m *Manager) Submit(client string, req Request) (Job, error) {
 	}
 	m.nextID++
 	job := &Job{
-		Schema: Schema, ID: fmt.Sprintf("j-%06d", m.nextID),
+		Schema: Schema, ID: jobID(m.nextID),
 		Client: client, State: StatePending, Request: req,
 		SubmittedNS: now, parsed: h,
 	}

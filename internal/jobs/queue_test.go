@@ -408,6 +408,32 @@ func TestJournalSkipsCorruptLines(t *testing.T) {
 	}
 }
 
+// TestJournalIDsRiseAcrossRestarts pins that a restarted daemon never
+// reissues a job ID, even when compaction left nothing pending: a
+// client still waiting on an old ID across the restart must not read a
+// new job's verdict as its own.
+func TestJournalIDsRiseAcrossRestarts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cald.journal")
+	last := 0
+	for restart := 0; restart <= 2; restart++ {
+		m, err := New(Config{Workers: 1, JournalPath: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := m.Submit("c", Request{Spec: "exchanger", History: satHistory(restart+1, restart+50)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitTerminal(t, m, j.ID)
+		drain(t, m)
+		if n := idNumber(j.ID); n <= last {
+			t.Errorf("after %d restart(s) the first job got %s, want a number above %d", restart, j.ID, last)
+		} else {
+			last = n
+		}
+	}
+}
+
 // TestSubmitCancelShedRaces hammers the admission path from many
 // goroutines while others cancel random ids — the -race run of this test
 // is the package's data-race gate. Every job must end terminal and every

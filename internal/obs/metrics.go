@@ -315,8 +315,8 @@ func (m *Metrics) Names() []string {
 // BuildInfo resolves the process's build identity: the module version
 // (VCS revision when stamped, else the module version, else "devel")
 // and the Go runtime version. These are the label values of the
-// build_info gauge and the /statusz version fields, letting fleet
-// queries correlate regressions with daemon versions.
+// build_info gauge and the /statusz version fields, letting
+// regression queries be correlated with daemon versions.
 func BuildInfo() (version, goVersion string) {
 	version = "devel"
 	if bi, ok := debug.ReadBuildInfo(); ok {

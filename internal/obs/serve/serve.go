@@ -55,18 +55,11 @@ type Config struct {
 	// (runstore.DefaultRingCapacity records, evictions counted on
 	// runstore.evicted), so a long-lived process can no longer grow its
 	// report slice without limit; daemons pass a durable filesystem
-	// store here to serve pre-restart history. The store is also served
-	// over the calgo.storeapi/v1 protocol under /storeapi/, making the
-	// process a remote backend for runstore.Remote clients.
+	// store here to serve pre-restart history.
 	Store runstore.Store
-	// Fleet, when set (cald -fleet), backs /queryz?fleet=1: the same
-	// query evaluated across the federation, with the degraded-result
-	// contract of EXPERIMENTS.md ("Fleet observability").
-	Fleet runstore.Store
-	// MaxResults clamps /runsz, /queryz and storeapi listings
-	// server-side (default runstore.DefaultMaxList; < 0 disables), so
-	// an unbounded query cannot wedge an ops goroutine serializing the
-	// whole history.
+	// MaxResults clamps /runsz and /queryz listings server-side
+	// (default runstore.DefaultMaxList; < 0 disables), so an unbounded
+	// query cannot wedge an ops goroutine serializing the whole history.
 	MaxResults int
 }
 
@@ -97,7 +90,7 @@ type Server struct {
 
 // New returns an unstarted server over the given instruments. The
 // registry (when present) gains the conventional build_info gauge, so
-// /metrics and /statusz report the same version identity fleet-wide.
+// /metrics and /statusz report the same version identity.
 func New(cfg Config) *Server {
 	st := cfg.Store
 	if st == nil {
@@ -186,12 +179,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/flightz", s.handleFlightz)
 	mux.HandleFunc("/runsz", s.handleRunsz)
 	mux.HandleFunc("/queryz", s.handleQueryz)
-	// The run-history store doubles as a calgo.storeapi/v1 remote
-	// backend: any process serving these endpoints can be a federation
-	// target.
-	mux.Handle(runstore.StoreAPIPrefix+"/", runstore.NewAPI(s.store, runstore.APIOptions{
-		MaxList: s.cfg.MaxResults,
-	}))
 	// Delegate /debug/ to the process-wide mux: net/http/pprof and
 	// expvar register there on import.
 	mux.Handle("/debug/", http.DefaultServeMux)
@@ -285,8 +272,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 <li><a href="/statusz">/statusz</a> — live run status (JSON; <a href="/statusz?format=html">HTML</a>, <a href="/statusz?watch=1">SSE</a>)</li>
 <li><a href="/flightz">/flightz</a> — flight-recorder ring (JSON lines)</li>
 <li><a href="/runsz">/runsz</a> — completed run records (?tool=&amp;verdict=&amp;since=&amp;limit=)</li>
-<li><a href="/queryz">/queryz</a> — run-history queries (<a href="/queryz?mode=regressions&amp;format=html">regressions</a>; ?fleet=1 with -fleet)</li>
-<li><a href="/storeapi/v1/records">/storeapi/v1/records</a> — calgo.storeapi/v1 remote-store protocol</li>
+<li><a href="/queryz">/queryz</a> — run-history queries (<a href="/queryz?mode=regressions&amp;format=html">regressions</a>)</li>
 <li><a href="/debug/pprof/">/debug/pprof/</a> — profiles</li>
 <li><a href="/debug/vars">/debug/vars</a> — expvar</li>
 </ul>
@@ -324,9 +310,9 @@ type RunSummary struct {
 type Statusz struct {
 	Schema string `json:"schema"`
 	Tool   string `json:"tool"`
-	// Version/GoVersion mirror the build_info gauge's labels, so fleet
-	// tooling can correlate regressions with daemon versions from
-	// either surface.
+	// Version/GoVersion mirror the build_info gauge's labels, so
+	// regressions can be correlated with daemon versions from either
+	// surface.
 	Version   string         `json:"version,omitempty"`
 	GoVersion string         `json:"go_version,omitempty"`
 	Run       obs.LiveStatus `json:"run"`
@@ -528,11 +514,8 @@ func (s *Server) handleRunsz(w http.ResponseWriter, r *http.Request) {
 // handleQueryz answers run-history queries (calgo.query/v1): record
 // listings (?mode=runs, the default) and per-cell bench regressions
 // (?mode=regressions&baseline=&table=&top=), as JSON or, with
-// ?format=html, a self-contained HTML table. With ?fleet=1 (and a
-// configured federation) the query runs across every fleet target
-// instead of the local store, degrading honestly when shards are down.
-// Limits are clamped at the server's MaxResults, and evaluation stops
-// when the client goes away.
+// ?format=html, a self-contained HTML table. Limits are clamped at the
+// server's MaxResults, and evaluation stops when the client goes away.
 func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	q, err := runstore.QueryFromValues(r.URL.Query(), time.Now())
 	if err != nil {
@@ -541,15 +524,7 @@ func (s *Server) handleQueryz(w http.ResponseWriter, r *http.Request) {
 	}
 	q.Limit = s.clampLimit(q.Limit)
 	q.Top = s.clampLimit(q.Top)
-	target := s.store
-	if r.URL.Query().Get("fleet") != "" {
-		if s.cfg.Fleet == nil {
-			http.Error(w, "no fleet configured (start with -fleet)", http.StatusNotFound)
-			return
-		}
-		target = s.cfg.Fleet
-	}
-	res, err := runstore.RunContext(r.Context(), target, q)
+	res, err := runstore.RunContext(r.Context(), s.store, q)
 	if err != nil {
 		if r.Context().Err() != nil {
 			return // client gone; nobody to answer
@@ -576,36 +551,15 @@ func (s *Server) htmlQueryz(w http.ResponseWriter, res *runstore.Result) {
 td,th{border:1px solid #999;padding:.2em .6em;text-align:left}td.n{text-align:right}</style>
 <h1>queryz — %[1]s (%[2]s)</h1>
 `, html.EscapeString(s.cfg.Tool), html.EscapeString(res.Mode))
-	if len(res.Targets) > 0 {
-		if res.Degraded {
-			fmt.Fprint(w, "<p><strong>DEGRADED</strong> — partial results; some fleet targets failed:</p>\n")
-		} else {
-			fmt.Fprintf(w, "<p>fleet query across %d target(s)</p>\n", len(res.Targets))
-		}
-		fmt.Fprint(w, "<ul>\n")
-		for _, tr := range res.Targets {
-			if tr.Error != "" {
-				fmt.Fprintf(w, "<li><code>%s</code>: ERROR: %s</li>\n",
-					html.EscapeString(tr.Target), html.EscapeString(tr.Error))
-			} else {
-				fmt.Fprintf(w, "<li><code>%s</code>: %d record(s)</li>\n",
-					html.EscapeString(tr.Target), tr.Records)
-			}
-		}
-		fmt.Fprint(w, "</ul>\n")
-	}
 	if res.Mode == runstore.ModeRegressions {
-		if len(res.Targets) == 0 {
-			fmt.Fprintf(w, "<p>current <code>%s</code> (%s) vs baseline <code>%s</code> (%s); %d comparable cells, %d skipped</p>\n",
-				html.EscapeString(res.CurrentID), html.EscapeString(res.CurrentTime),
-				html.EscapeString(res.BaselineID), html.EscapeString(res.BaselineTime),
-				res.Total, res.Skipped)
-		}
-		fmt.Fprint(w, "<table><tr><th>table</th><th>row</th><th>column</th><th>base</th><th>current</th><th>delta</th><th>origin</th></tr>\n")
+		fmt.Fprintf(w, "<p>current <code>%s</code> (%s) vs baseline <code>%s</code> (%s); %d comparable cells, %d skipped</p>\n",
+			html.EscapeString(res.CurrentID), html.EscapeString(res.CurrentTime),
+			html.EscapeString(res.BaselineID), html.EscapeString(res.BaselineTime),
+			res.Total, res.Skipped)
+		fmt.Fprint(w, "<table><tr><th>table</th><th>row</th><th>column</th><th>base</th><th>current</th><th>delta</th></tr>\n")
 		for _, d := range res.Deltas {
-			fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td class=n>%d</td><td class=n>%.0f</td><td class=n>%.0f</td><td class=n>%+.1f%%</td><td>%s</td></tr>\n",
-				html.EscapeString(d.Table), html.EscapeString(d.Row), d.Column, d.Base, d.Cur, d.Pct,
-				html.EscapeString(d.Origin))
+			fmt.Fprintf(w, "<tr><td>%s</td><td>%s</td><td class=n>%d</td><td class=n>%.0f</td><td class=n>%.0f</td><td class=n>%+.1f%%</td></tr>\n",
+				html.EscapeString(d.Table), html.EscapeString(d.Row), d.Column, d.Base, d.Cur, d.Pct)
 		}
 		fmt.Fprint(w, "</table>\n")
 		return

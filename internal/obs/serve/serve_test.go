@@ -499,6 +499,9 @@ func TestQueryz(t *testing.T) {
 	if code, _, _ := get(t, ts.URL+"/queryz?mode=bogus"); code != http.StatusBadRequest {
 		t.Errorf("bad mode = %d", code)
 	}
+	if code, _, _ := get(t, ts.URL+"/queryz?fleet=1"); code != http.StatusBadRequest {
+		t.Errorf("unknown key = %d", code)
+	}
 	empty := testServer(t, Config{Tool: "caltest"})
 	if code, _, _ := get(t, empty.URL+"/queryz?mode=regressions"); code != http.StatusUnprocessableEntity {
 		t.Errorf("empty regressions = %d", code)
@@ -621,93 +624,5 @@ func TestRunszClampsResults(t *testing.T) {
 	_, body, _ = get(t, ts.URL+"/runsz?limit=2")
 	if err := json.Unmarshal([]byte(body), &recs); err != nil || len(recs) != 2 {
 		t.Fatalf("limit=2 got %d records (err %v)", len(recs), err)
-	}
-}
-
-// TestStoreAPIMountedOnOps pins the tentpole wiring: every ops server
-// speaks calgo.storeapi/v1 under /storeapi/, so any serving tool is a
-// federation backend.
-func TestStoreAPIMountedOnOps(t *testing.T) {
-	store := runstore.NewRing(8, nil)
-	srv := New(Config{Tool: "caltest", Store: store})
-	srv.AddReport(render.NewReport("caltest", time.Unix(800, 0)))
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	remote, err := runstore.OpenRemote(ts.URL, runstore.RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := remote.Len(); n != 1 {
-		t.Fatalf("remote Len over ops mux = %d", n)
-	}
-	recs, err := remote.List(runstore.Filter{Tool: "caltest"})
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("remote List over ops mux = %v (err %v)", recs, err)
-	}
-	rec := &runstore.Record{Tool: "calbench", Kind: runstore.KindBench,
-		Bench: benchDoc("2026-08-08T00:00:00Z", 100)}
-	if err := remote.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	if store.Len() != 2 {
-		t.Fatalf("backing store Len = %d after remote put", store.Len())
-	}
-}
-
-// TestQueryzFleet pins /queryz?fleet=1: the query fans out over the
-// configured federation, carries per-record origins, degrades honestly
-// with a shard down, and 404s with advice when no fleet is configured.
-func TestQueryzFleet(t *testing.T) {
-	shardA := runstore.NewRing(8, nil)
-	if err := shardA.Put(&runstore.Record{Tool: "cald", Verdict: "VIOLATION",
-		TimeNS: time.Unix(900, 0).UnixNano(),
-		Report: render.NewReport("cald", time.Unix(900, 0))}); err != nil {
-		t.Fatal(err)
-	}
-	deadSrv := httptest.NewServer(http.NotFoundHandler())
-	deadURL := deadSrv.URL
-	deadSrv.Close()
-	dead, err := runstore.OpenRemote(deadURL, runstore.RemoteOptions{
-		Retries: 1, BaseDelay: time.Millisecond, MaxDelay: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet := runstore.NewFederated([]runstore.StoreTarget{
-		{Name: "a", Store: shardA},
-		{Name: "dead", Store: dead},
-	}, runstore.FederatedOptions{})
-	ts := testServer(t, Config{Tool: "cald", Fleet: fleet})
-
-	code, body, _ := get(t, ts.URL+"/queryz?fleet=1")
-	if code != http.StatusOK {
-		t.Fatalf("fleet queryz = %d: %s", code, body)
-	}
-	var res runstore.Result
-	if err := json.Unmarshal([]byte(body), &res); err != nil {
-		t.Fatal(err)
-	}
-	if !res.Degraded || len(res.Targets) != 2 {
-		t.Fatalf("fleet result = %+v", res)
-	}
-	if len(res.Runs) != 1 || res.Runs[0].Labels["origin"] != "a" {
-		t.Fatalf("fleet rows = %+v", res.Runs)
-	}
-
-	// The HTML view carries the degraded banner and the target list.
-	code, body, hdr := get(t, ts.URL+"/queryz?fleet=1&format=html")
-	if code != http.StatusOK || !strings.Contains(hdr.Get("Content-Type"), "text/html") {
-		t.Fatalf("fleet html = %d %q", code, hdr.Get("Content-Type"))
-	}
-	for _, want := range []string{"DEGRADED", "dead", "ERROR"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("fleet html missing %q", want)
-		}
-	}
-
-	// Without -fleet the parameter is advice, not a 500.
-	bare := testServer(t, Config{Tool: "cald"})
-	if code, body, _ := get(t, bare.URL+"/queryz?fleet=1"); code != http.StatusNotFound || !strings.Contains(body, "-fleet") {
-		t.Fatalf("fleetless queryz = %d %q", code, body)
 	}
 }

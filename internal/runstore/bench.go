@@ -130,9 +130,6 @@ type CellDelta struct {
 	Base   float64 `json:"base_ops_per_sec"`
 	Cur    float64 `json:"cur_ops_per_sec"`
 	Pct    float64 `json:"delta_pct"`
-	// Origin names the federation target the delta came from; empty on
-	// single-store queries.
-	Origin string `json:"origin,omitempty"`
 }
 
 // Cell names the delta's cell for human output ("B3 \"row\" goroutines=8").

@@ -158,7 +158,12 @@ type fsIndexSegEntry struct {
 // segments — via the index sidecar where it is fresh, by scanning
 // where it is missing, stale or corrupt — and compacts when superseded
 // records outnumber live ones. The returned store is ready for Put.
+// A "scheme://" path is an error: the store is a local directory, and
+// creating one named "http:" would answer from an empty store.
 func OpenFS(dir string, opts FSOptions) (*FS, error) {
+	if strings.Contains(dir, "://") {
+		return nil, fmt.Errorf("runstore: %q is a URL; the run-history store is a local directory", dir)
+	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}

@@ -76,6 +76,33 @@ func TestFSPutGetListReopen(t *testing.T) {
 // TestFSTornTail kills a store mid-append (simulated by truncating the
 // last line in half) and proves reopen skips the torn line and keeps
 // every acknowledged record before it.
+// TestFSRejectsURL pins that a daemon URL given where a store
+// directory is expected fails with an error instead of creating a
+// local directory named "http:" and answering from an empty store.
+func TestFSRejectsURL(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd) //nolint:errcheck // best effort: the test is over
+	for _, spec := range []string{"http://a:8419", "https://b:8419/runs"} {
+		s, err := OpenFS(spec, FSOptions{})
+		if err == nil {
+			s.Close()
+		}
+		if err == nil || !strings.Contains(err.Error(), "local directory") {
+			t.Errorf("OpenFS(%q) = %v, want a local-directory error", spec, err)
+		}
+	}
+	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+		t.Errorf("OpenFS of a URL created %v", entries)
+	}
+}
+
 func TestFSTornTail(t *testing.T) {
 	dir := t.TempDir()
 	m := obs.NewMetrics()

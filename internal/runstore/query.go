@@ -58,30 +58,6 @@ type Result struct {
 	CurrentTime  string      `json:"current_time,omitempty"`
 	Deltas       []CellDelta `json:"deltas,omitempty"`
 	Skipped      int         `json:"skipped_cells,omitempty"`
-
-	// Federation fields, set only by fleet (fan-out) queries. Degraded
-	// reports that at least one target failed and the result is an
-	// honest partial answer; Targets lists every target with its error
-	// (empty = the target answered). The contract is specified in
-	// EXPERIMENTS.md ("Fleet observability").
-	Degraded bool           `json:"degraded,omitempty"`
-	Targets  []TargetResult `json:"targets,omitempty"`
-}
-
-// TargetResult is one federation target's contribution to a fleet
-// query result.
-type TargetResult struct {
-	// Target is the origin label records from this target carry.
-	Target string `json:"target"`
-	// Error is the target's failure ("" = it answered).
-	Error string `json:"error,omitempty"`
-	// Records is how many runs (runs mode) or delta cells (regressions
-	// mode) the target contributed before the post-merge limit.
-	Records int `json:"records,omitempty"`
-	// Baseline/Current are the per-target compared record IDs
-	// (regressions mode).
-	Baseline string `json:"baseline,omitempty"`
-	Current  string `json:"current,omitempty"`
 }
 
 // Summary is one run record without its wrapped document — enough to
@@ -143,8 +119,12 @@ func ParseQuery(expr string, now time.Time) (Query, error) {
 		if !ok || k == "" || v == "" {
 			return q, fmt.Errorf("runstore: bad query term %q (want key=value)", f)
 		}
-		if err := q.setTerm(k, v, now); err != nil {
+		reserved, err := q.setTerm(k, v, now)
+		if err != nil {
 			return q, err
+		}
+		if !reserved {
+			q.addLabel(k, v)
 		}
 	}
 	return q, nil
@@ -165,7 +145,7 @@ func QueryFromValues(vals url.Values, now time.Time) (Query, error) {
 		}
 	}
 	for k, vs := range vals {
-		if k == "mode" || k == "format" || k == "fleet" || len(vs) == 0 {
+		if k == "mode" || k == "format" || len(vs) == 0 {
 			continue
 		}
 		if k == "label" {
@@ -174,65 +154,33 @@ func QueryFromValues(vals url.Values, now time.Time) (Query, error) {
 				if !ok {
 					return q, fmt.Errorf("runstore: bad label %q (want key:value)", v)
 				}
-				if q.Labels == nil {
-					q.Labels = map[string]string{}
-				}
-				q.Labels[lk] = lv
+				q.addLabel(lk, lv)
 			}
 			continue
 		}
-		if err := q.setTerm(k, vs[0], now); err != nil {
+		reserved, err := q.setTerm(k, vs[0], now)
+		if err != nil {
 			return q, err
+		}
+		if !reserved {
+			return q, fmt.Errorf("runstore: unknown query parameter %q (labels go in ?label=%s:value)", k, k)
 		}
 	}
 	return q, nil
 }
 
-// Values encodes the query as /queryz / storeapi URL parameters — the
-// inverse of QueryFromValues, used by the remote client to ship a
-// query for server-side evaluation.
-func (q Query) Values() url.Values {
-	vals := url.Values{}
-	set := func(k, v string) {
-		if v != "" {
-			vals.Set(k, v)
-		}
+// addLabel adds one label selector.
+func (q *Query) addLabel(k, v string) {
+	if q.Labels == nil {
+		q.Labels = map[string]string{}
 	}
-	if q.Mode != "" && q.Mode != ModeRuns {
-		vals.Set("mode", q.Mode)
-	}
-	set("tool", q.Tool)
-	set("verdict", q.Verdict)
-	set("kind", q.Kind)
-	set("id", q.ID)
-	set("baseline", q.Baseline)
-	set("current", q.Current)
-	set("table", q.Table)
-	if !q.Since.IsZero() {
-		vals.Set("since", q.Since.UTC().Format(time.RFC3339))
-	}
-	if !q.Until.IsZero() {
-		vals.Set("until", q.Until.UTC().Format(time.RFC3339))
-	}
-	if q.Limit > 0 {
-		vals.Set("limit", strconv.Itoa(q.Limit))
-	}
-	if q.Top > 0 {
-		vals.Set("top", strconv.Itoa(q.Top))
-	}
-	keys := make([]string, 0, len(q.Labels))
-	for k := range q.Labels {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		vals.Add("label", k+":"+q.Labels[k])
-	}
-	return vals
+	q.Labels[k] = v
 }
 
-// setTerm applies one key=value term.
-func (q *Query) setTerm(k, v string, now time.Time) error {
+// setTerm applies one reserved key=value term; reserved is false when
+// k is not a reserved key (ParseQuery reads it as a label selector,
+// QueryFromValues rejects it).
+func (q *Query) setTerm(k, v string, now time.Time) (reserved bool, err error) {
 	switch k {
 	case "tool":
 		q.Tool = v
@@ -251,34 +199,31 @@ func (q *Query) setTerm(k, v string, now time.Time) error {
 	case "since":
 		t, err := parseInstant(v, now)
 		if err != nil {
-			return fmt.Errorf("runstore: bad since=%q: %w", v, err)
+			return true, fmt.Errorf("runstore: bad since=%q: %w", v, err)
 		}
 		q.Since = t
 	case "until":
 		t, err := parseInstant(v, now)
 		if err != nil {
-			return fmt.Errorf("runstore: bad until=%q: %w", v, err)
+			return true, fmt.Errorf("runstore: bad until=%q: %w", v, err)
 		}
 		q.Until = t
 	case "limit":
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return fmt.Errorf("runstore: bad limit=%q", v)
+			return true, fmt.Errorf("runstore: bad limit=%q", v)
 		}
 		q.Limit = n
 	case "top":
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return fmt.Errorf("runstore: bad top=%q", v)
+			return true, fmt.Errorf("runstore: bad top=%q", v)
 		}
 		q.Top = n
 	default:
-		if q.Labels == nil {
-			q.Labels = map[string]string{}
-		}
-		q.Labels[k] = v
+		return false, nil
 	}
-	return nil
+	return true, nil
 }
 
 // parseInstant accepts a duration back from now, an RFC 3339 instant,
@@ -296,27 +241,13 @@ func parseInstant(v string, now time.Time) (time.Time, error) {
 	return time.Time{}, fmt.Errorf("want a duration (720h), RFC 3339 instant, or YYYY-MM-DD date")
 }
 
-// ContextQuerier is optionally implemented by stores that evaluate
-// whole queries themselves — the remote client (server-side
-// evaluation) and the federated store (per-shard evaluation with a
-// degraded merge). RunContext prefers it over local List-based
-// evaluation, which matters wherever record IDs are only unique per
-// shard.
-type ContextQuerier interface {
-	QueryContext(context.Context, Query) (*Result, error)
-}
-
 // Run executes q against the store.
 func Run(st Store, q Query) (*Result, error) {
 	return RunContext(context.Background(), st, q)
 }
 
-// RunContext executes q against the store, honoring cancellation and
-// delegating to the store's own query engine when it has one.
+// RunContext executes q against the store, honoring cancellation.
 func RunContext(ctx context.Context, st Store, q Query) (*Result, error) {
-	if cq, ok := st.(ContextQuerier); ok {
-		return cq.QueryContext(ctx, q)
-	}
 	switch q.Mode {
 	case "", ModeRuns:
 		return runRuns(ctx, st, q)
@@ -426,43 +357,12 @@ func (r *Result) Text() string {
 	var b strings.Builder
 	switch r.Mode {
 	case ModeRegressions:
-		if len(r.Targets) > 0 {
-			fmt.Fprintf(&b, "fleet regressions: %d target(s)", len(r.Targets))
-			if r.Degraded {
-				b.WriteString(", DEGRADED (partial results)")
-			}
-			b.WriteString("\n")
-			for _, t := range r.Targets {
-				if t.Error != "" {
-					fmt.Fprintf(&b, "  %s: ERROR: %s\n", t.Target, t.Error)
-				} else {
-					fmt.Fprintf(&b, "  %s: %s vs baseline %s (%d cells)\n",
-						t.Target, t.Current, t.Baseline, t.Records)
-				}
-			}
-		} else {
-			fmt.Fprintf(&b, "regressions: %s (%s) vs baseline %s (%s)\n",
-				r.CurrentID, r.CurrentTime, r.BaselineID, r.BaselineTime)
-		}
-		origin := ""
+		fmt.Fprintf(&b, "regressions: %s (%s) vs baseline %s (%s)\n",
+			r.CurrentID, r.CurrentTime, r.BaselineID, r.BaselineTime)
+		fmt.Fprintf(&b, "%-6s %-28s %8s %14s %14s %9s\n", "table", "row", "column", "base", "current", "delta")
 		for _, d := range r.Deltas {
-			if d.Origin != "" {
-				origin = "origin"
-				break
-			}
-		}
-		fmt.Fprintf(&b, "%-6s %-28s %8s %14s %14s %9s", "table", "row", "column", "base", "current", "delta")
-		if origin != "" {
-			fmt.Fprintf(&b, "  %s", origin)
-		}
-		b.WriteString("\n")
-		for _, d := range r.Deltas {
-			fmt.Fprintf(&b, "%-6s %-28s %8d %14.0f %14.0f %+8.1f%%",
+			fmt.Fprintf(&b, "%-6s %-28s %8d %14.0f %14.0f %+8.1f%%\n",
 				d.Table, d.Row, d.Column, d.Base, d.Cur, d.Pct)
-			if origin != "" {
-				fmt.Fprintf(&b, "  %s", d.Origin)
-			}
-			b.WriteString("\n")
 		}
 		if len(r.Deltas) < r.Total {
 			fmt.Fprintf(&b, "(%d of %d cells shown; raise top=)\n", len(r.Deltas), r.Total)
@@ -471,20 +371,6 @@ func (r *Result) Text() string {
 			fmt.Fprintf(&b, "%d cell(s) present on only one side were not compared\n", r.Skipped)
 		}
 	default:
-		if len(r.Targets) > 0 {
-			fmt.Fprintf(&b, "fleet runs: %d target(s)", len(r.Targets))
-			if r.Degraded {
-				b.WriteString(", DEGRADED (partial results)")
-			}
-			b.WriteString("\n")
-			for _, t := range r.Targets {
-				if t.Error != "" {
-					fmt.Fprintf(&b, "  %s: ERROR: %s\n", t.Target, t.Error)
-				} else {
-					fmt.Fprintf(&b, "  %s: %d record(s)\n", t.Target, t.Records)
-				}
-			}
-		}
 		fmt.Fprintf(&b, "%-10s %-20s %-10s %-6s %-9s %s\n", "id", "time", "tool", "kind", "verdict", "detail")
 		for _, s := range r.Runs {
 			detail := s.Detail
@@ -507,30 +393,6 @@ func (r *Result) Markdown() string {
 	var b strings.Builder
 	switch r.Mode {
 	case ModeRegressions:
-		if len(r.Targets) > 0 {
-			fmt.Fprintf(&b, "# Fleet regression query\n\n%d target(s)", len(r.Targets))
-			if r.Degraded {
-				b.WriteString(" — **DEGRADED** (partial results)")
-			}
-			b.WriteString("\n\n")
-			for _, t := range r.Targets {
-				if t.Error != "" {
-					fmt.Fprintf(&b, "- `%s`: ERROR: %s\n", t.Target, t.Error)
-				} else {
-					fmt.Fprintf(&b, "- `%s`: `%s` vs baseline `%s` (%d cells)\n",
-						t.Target, t.Current, t.Baseline, t.Records)
-				}
-			}
-			b.WriteString("\n| table | row | column | base | current | delta | origin |\n|---|---|---:|---:|---:|---:|---|\n")
-			for _, d := range r.Deltas {
-				fmt.Fprintf(&b, "| %s | %s | %d | %.0f | %.0f | %+.1f%% | %s |\n",
-					d.Table, d.Row, d.Column, d.Base, d.Cur, d.Pct, d.Origin)
-			}
-			if r.Skipped > 0 {
-				fmt.Fprintf(&b, "\n%d cell(s) present on only one side were not compared.\n", r.Skipped)
-			}
-			return b.String()
-		}
 		fmt.Fprintf(&b, "# Regression query\n\ncurrent `%s` (%s) vs baseline `%s` (%s)\n\n",
 			r.CurrentID, r.CurrentTime, r.BaselineID, r.BaselineTime)
 		b.WriteString("| table | row | column | base | current | delta |\n|---|---|---:|---:|---:|---:|\n")

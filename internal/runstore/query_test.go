@@ -88,6 +88,9 @@ func TestQueryFromValues(t *testing.T) {
 	if _, err := QueryFromValues(url.Values{"label": {"noseparator"}}, now); err == nil {
 		t.Error("bad label accepted")
 	}
+	if _, err := QueryFromValues(url.Values{"fleet": {"1"}}, now); err == nil {
+		t.Error("unknown key accepted")
+	}
 }
 
 func benchAt(gen string, rate float64) *Bench {

@@ -18,9 +18,9 @@
 //     -query`, the /queryz endpoint and `calbench -auto` baseline
 //     selection.
 //
-// Fleet-wide questions like "which B3 cell regressed >5% in 30 days"
-// or "what fraction of cald jobs ended UNKNOWN last week" become one
-// query each; see EXPERIMENTS.md ("Run-history store").
+// Questions like "which B3 cell regressed >5% in 30 days" or "what
+// fraction of cald jobs ended UNKNOWN last week" become one query
+// each; see EXPERIMENTS.md ("Run-history store").
 package runstore
 
 import (
@@ -193,10 +193,8 @@ type Store interface {
 }
 
 // ContextLister is optionally implemented by stores whose List can
-// honor cancellation mid-scan — the remote client (the HTTP request
-// carries the context), the federated store (the fan-out deadline) and
-// the filesystem backend (checked between disk reads). ListContext is
-// the uniform entry point.
+// honor cancellation mid-scan — the filesystem backend checks between
+// disk reads. ListContext is the uniform entry point.
 type ContextLister interface {
 	ListContext(context.Context, Filter) ([]*Record, error)
 }
@@ -320,10 +318,6 @@ type Retainer interface {
 	Retain(Retention) (int, error)
 }
 
-// ErrReadOnly is returned by Put on read-only store views (the
-// federated fan-out store).
-var ErrReadOnly = fmt.Errorf("runstore: store is read-only")
-
 // Latest returns the newest record matching f, or nil when none match.
 func Latest(st Store, f Filter) (*Record, error) {
 	return latestContext(context.Background(), st, f)
@@ -349,6 +343,12 @@ func applyLimit(recs []*Record, limit int) []*Record {
 	}
 	return recs
 }
+
+// DefaultMaxList is the server-side result bound of /runsz and /queryz
+// when the ops server does not choose: an unbounded (or absurd) client
+// limit is clamped here so one curl cannot make the daemon serialize
+// its whole history in one response.
+const DefaultMaxList = 1000
 
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = fmt.Errorf("runstore: store closed")

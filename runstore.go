@@ -31,24 +31,6 @@ type (
 	BenchCellDelta = runstore.CellDelta
 	// FSStoreOptions configures OpenFSStore.
 	FSStoreOptions = runstore.FSOptions
-
-	// RemoteStore is a Store client over the calgo.storeapi/v1 HTTP
-	// protocol — any cald daemon is a backend.
-	RemoteStore = runstore.Remote
-	// RemoteStoreOptions configures OpenRemoteStore (transport, retry
-	// policy, per-operation deadline).
-	RemoteStoreOptions = runstore.RemoteOptions
-	// FederatedStore fans queries out over N store targets, merging by
-	// time with origin labels and degrading honestly when shards fail.
-	FederatedStore = runstore.Federated
-	// FederatedStoreOptions configures NewFederatedStore (per-target
-	// deadline, logger).
-	FederatedStoreOptions = runstore.FederatedOptions
-	// RunStoreTarget is one federation member (name + store).
-	RunStoreTarget = runstore.StoreTarget
-	// StoreTargetResult is one target's contribution (or error) in a
-	// fleet query result.
-	StoreTargetResult = runstore.TargetResult
 	// RetentionPolicy bounds a store beyond superseded-record GC:
 	// max-age, max-records, per-kind keep-N.
 	RetentionPolicy = runstore.Retention
@@ -60,9 +42,6 @@ const (
 	RunRecordSchemaVersion = runstore.RecordSchema
 	// QuerySchemaVersion identifies the query-result document shape.
 	QuerySchemaVersion = runstore.QuerySchema
-	// StoreAPISchemaVersion identifies the remote-store HTTP protocol
-	// every ops server mounts under /storeapi/.
-	StoreAPISchemaVersion = runstore.StoreAPISchema
 )
 
 var (
@@ -82,19 +61,6 @@ var (
 	// IngestBenchFiles imports a directory's BENCH_*.json trajectory
 	// files into a store under deterministic IDs (idempotent).
 	IngestBenchFiles = runstore.IngestBenchDir
-	// OpenRemoteStore returns a store client for the daemon at a base
-	// URL, speaking calgo.storeapi/v1 with jittered retries and
-	// context deadlines.
-	OpenRemoteStore = runstore.OpenRemote
-	// NewFederatedStore returns a read-only fan-out view over targets.
-	NewFederatedStore = runstore.NewFederated
-	// OpenRunStores opens a -store spec: a directory, a daemon URL, or
-	// a comma-separated list of either (a federation).
-	OpenRunStores = runstore.OpenStores
-	// IsRunStoreURL reports whether a -store spec element is a daemon
-	// URL rather than a directory.
-	IsRunStoreURL = runstore.IsStoreURL
-	// RunQueryOnContext executes a query with cancellation, delegating
-	// to remote/federated query engines when the store has one.
+	// RunQueryOnContext executes a query with cancellation.
 	RunQueryOnContext = runstore.RunContext
 )
