@@ -29,15 +29,16 @@ echo "== GOMAXPROCS=4 go test -race -short ./... =="
 GOMAXPROCS=4 go test -race -short ./...
 
 # The parallel engine, the batch checker, the daemon's job queue, the
-# specialized monitors, the run-history store and the rely/guarantee
-# hooks are the packages whose correctness depends on cross-goroutine
-# coordination (the monitors via the checker's engine dispatch and the
+# specialized monitors, the run-history store, the durable log under the
+# journal and the store, and the rely/guarantee hooks are the packages
+# whose correctness depends on cross-goroutine coordination or crash
+# replay (the monitors via the checker's engine dispatch and the
 # cross-validation harness, the store via concurrent Put/List and
 # crash-replay, rg via explorer hooks called from every worker); run
 # their full (non-short) suites under the race detector. internal/model
 # stays -short (above): its full suite takes minutes under -race.
-echo "== GOMAXPROCS=4 go test -race ./internal/sched/ ./internal/check/ ./internal/jobs/ ./internal/monitor/ ./internal/runstore/ ./internal/rg/ =="
-GOMAXPROCS=4 go test -race ./internal/sched/ ./internal/check/ ./internal/jobs/ ./internal/monitor/ ./internal/runstore/ ./internal/rg/
+echo "== GOMAXPROCS=4 go test -race ./internal/sched/ ./internal/check/ ./internal/jobs/ ./internal/monitor/ ./internal/runstore/ ./internal/jsonlog/ ./internal/rg/ =="
+GOMAXPROCS=4 go test -race ./internal/sched/ ./internal/check/ ./internal/jobs/ ./internal/monitor/ ./internal/runstore/ ./internal/jsonlog/ ./internal/rg/
 
 # Guard the deprecation sweep: the context-first API is the only one,
 # and none of the deleted legacy symbols may reappear in Go sources.

@@ -187,7 +187,7 @@ func TestClientWaitPacesDaemonIgnoringWait(t *testing.T) {
 		if gets.Add(1) >= 4 {
 			state = StateDone
 		}
-		writeJob(w, http.StatusOK, Job{Schema: Schema, ID: "j-000001", State: state, Verdict: "OK"})
+		writeJSON(w, http.StatusOK, Job{Schema: Schema, ID: "j-000001", State: state, Verdict: "OK"})
 	}))
 	defer srv.Close()
 
@@ -222,7 +222,7 @@ func TestClientLongPollStaysUnderTimeout(t *testing.T) {
 		asked := make(chan string, 1)
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			asked <- r.URL.Query().Get("wait")
-			writeJob(w, http.StatusOK, Job{Schema: Schema, ID: "j-000001", State: StateDone})
+			writeJSON(w, http.StatusOK, Job{Schema: Schema, ID: "j-000001", State: StateDone})
 		}))
 		c := NewClient(srv.URL)
 		c.HTTP = tc.http

@@ -61,12 +61,89 @@ func retryAfterSeconds(d time.Duration) string {
 	return fmt.Sprintf("%d", s)
 }
 
-func writeJob(w http.ResponseWriter, status int, j Job) {
+// writeJSON answers with v as an indented JSON document, the shape of
+// every /jobs and /streams reply.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(j) //nolint:errcheck // client gone
+	enc.Encode(v) //nolint:errcheck // client gone
+}
+
+// writeError maps the error taxonomy the job and stream managers share
+// onto HTTP statuses. what names the resource in a 404, and retry tells
+// a client turned away by a drain what to do instead.
+func writeError(w http.ResponseWriter, err error, what, retry string) {
+	var reqErr *RequestError
+	var over *OverloadError
+	switch {
+	case errors.As(err, &reqErr):
+		http.Error(w, reqErr.Error(), http.StatusBadRequest)
+	case errors.As(err, &over):
+		w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
+		http.Error(w, over.Error(), http.StatusTooManyRequests)
+	case errors.Is(err, ErrDraining):
+		w.Header().Set("Retry-After", "1")
+		http.Error(w, "daemon is draining; "+retry, http.StatusServiceUnavailable)
+	case errors.Is(err, ErrNotFound):
+		http.Error(w, "no such "+what, http.StatusNotFound)
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+}
+
+// watchSSE streams a watched job or stream as Server-Sent Events (the
+// same plumbing contract as /statusz?watch=1): an immediate snapshot,
+// one frame per update, then end-of-stream once watch's channel closes
+// after the terminal frame. A drain (stopping closes) ends the stream
+// early with an explicit drain event, so clients know to re-poll the
+// restarted daemon.
+func watchSSE[T any](w http.ResponseWriter, r *http.Request, what string,
+	watch func(id string) (T, <-chan T, func(), error), stopping <-chan struct{}) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
+		return
+	}
+	snap, updates, stop, err := watch(r.PathValue("id"))
+	if err != nil {
+		http.Error(w, "no such "+what, http.StatusNotFound)
+		return
+	}
+	defer stop()
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-store")
+	w.Header().Set("X-Accel-Buffering", "no")
+
+	emit := func(v T) bool {
+		b, err := json.Marshal(v)
+		if err != nil {
+			return false
+		}
+		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
+			return false
+		}
+		fl.Flush()
+		return true
+	}
+	if !emit(snap) {
+		return
+	}
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-stopping:
+			fmt.Fprint(w, "event: drain\ndata: {}\n\n")
+			fl.Flush()
+			return
+		case v, open := <-updates:
+			if !open || !emit(v) {
+				return // after the terminal frame, or the client is gone
+			}
+		}
+	}
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -85,41 +162,25 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := m.Submit(clientID(r), req)
 	if err != nil {
-		var reqErr *RequestError
-		var over *OverloadError
-		switch {
-		case errors.As(err, &reqErr):
-			http.Error(w, reqErr.Error(), http.StatusBadRequest)
-		case errors.As(err, &over):
-			w.Header().Set("Retry-After", retryAfterSeconds(over.RetryAfter))
-			http.Error(w, over.Error(), http.StatusTooManyRequests)
-		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "daemon is draining; retry against the restarted instance", http.StatusServiceUnavailable)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
+		writeError(w, err, "job", "retry against the restarted instance")
 		return
 	}
 	status := http.StatusAccepted
 	if job.State.Terminal() {
 		status = http.StatusOK // answered from the verdict cache
 	}
-	writeJob(w, status, job)
+	writeJSON(w, status, job)
 }
 
 func (m *Manager) handleList(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(m.List()) //nolint:errcheck // client gone
+	writeJSON(w, http.StatusOK, m.List())
 }
 
 func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	q := r.URL.Query()
 	if q.Get("watch") != "" {
-		m.watchJob(w, r, id)
+		watchSSE(w, r, "job", m.Watch, m.Stopping())
 		return
 	}
 	wait, err := parseWait(q.Get("wait"))
@@ -132,7 +193,7 @@ func (m *Manager) handleGet(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such job", http.StatusNotFound)
 		return
 	}
-	writeJob(w, http.StatusOK, job)
+	writeJSON(w, http.StatusOK, job)
 }
 
 // MaxWait bounds a long-poll: a longer ?wait= is clamped to it. It
@@ -183,69 +244,10 @@ func (m *Manager) await(ctx context.Context, id string, wait time.Duration) (Job
 
 func (m *Manager) handleCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	err := m.Cancel(id)
-	switch {
-	case errors.Is(err, ErrNotFound):
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+	if err := m.Cancel(id); err != nil {
+		writeError(w, err, "job", "")
 		return
 	}
 	job, _ := m.Get(id)
-	writeJob(w, http.StatusOK, job)
-}
-
-// watchJob streams a job's state changes as SSE frames (the same
-// plumbing contract as /statusz?watch=1): an immediate snapshot, one
-// frame per transition, then end-of-stream after the terminal frame. A
-// drain ends the stream early with an explicit drain event so clients
-// know to re-poll the restarted daemon.
-func (m *Manager) watchJob(w http.ResponseWriter, r *http.Request, id string) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusNotImplemented)
-		return
-	}
-	snap, updates, stop, err := m.Watch(id)
-	if err != nil {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	defer stop()
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-store")
-	w.Header().Set("X-Accel-Buffering", "no")
-
-	emit := func(j Job) bool {
-		b, err := json.Marshal(j)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "data: %s\n\n", b); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	if !emit(snap) {
-		return
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case <-m.Stopping():
-			fmt.Fprint(w, "event: drain\ndata: {}\n\n")
-			fl.Flush()
-			return
-		case j, open := <-updates:
-			if !open {
-				return // terminal frame already delivered
-			}
-			if !emit(j) {
-				return
-			}
-		}
-	}
+	writeJSON(w, http.StatusOK, job)
 }

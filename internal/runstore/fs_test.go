@@ -73,9 +73,6 @@ func TestFSPutGetListReopen(t *testing.T) {
 	}
 }
 
-// TestFSTornTail kills a store mid-append (simulated by truncating the
-// last line in half) and proves reopen skips the torn line and keeps
-// every acknowledged record before it.
 // TestFSRejectsURL pins that a daemon URL given where a store
 // directory is expected fails with an error instead of creating a
 // local directory named "http:" and answering from an empty store.
@@ -103,6 +100,10 @@ func TestFSRejectsURL(t *testing.T) {
 	}
 }
 
+// TestFSTornTail kills a store mid-append (simulated by truncating the
+// last line in half) and proves reopen skips the torn line, keeps every
+// acknowledged record before it, and cuts the torn bytes so the next
+// put survives another reopen instead of fusing with them.
 func TestFSTornTail(t *testing.T) {
 	dir := t.TempDir()
 	m := obs.NewMetrics()
@@ -112,8 +113,7 @@ func TestFSTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Abandon without Close: the index sidecar is now stale (written at
-	// open, before any put).
+	// Abandon without Close.
 	seg := filepath.Join(dir, "run-000001.jsonl")
 	b, err := os.ReadFile(seg)
 	if err != nil {
@@ -128,7 +128,6 @@ func TestFSTornTail(t *testing.T) {
 	}
 
 	s2 := openTestFS(t, dir, FSOptions{Metrics: m})
-	defer s2.Close()
 	if s2.Len() != 4 {
 		t.Fatalf("Len after torn tail = %d, want 4", s2.Len())
 	}
@@ -149,6 +148,17 @@ func TestFSTornTail(t *testing.T) {
 	if _, ok, _ := s2.Get(rec.ID); !ok {
 		t.Fatalf("put after torn-tail reopen lost %q", rec.ID)
 	}
+	// The put must also survive a replay of the segment itself, with no
+	// index sidecar to cover its offset.
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	os.Remove(filepath.Join(dir, "index.json"))
+	s3 := openTestFS(t, dir, FSOptions{})
+	defer s3.Close()
+	if _, ok, _ := s3.Get(rec.ID); !ok || s3.Len() != 5 {
+		t.Fatalf("after reopen: %q present %v, Len %d; want present, Len 5", rec.ID, ok, s3.Len())
+	}
 }
 
 // TestFSCorruptInteriorLine damages a middle line: replay must skip
@@ -167,9 +177,6 @@ func TestFSCorruptInteriorLine(t *testing.T) {
 	lines := strings.SplitAfter(string(b), "\n")
 	lines[2] = strings.Replace(lines[2], `"schema"`, `xxchemaxx`, 1) // break JSON
 	os.WriteFile(seg, []byte(strings.Join(lines, "")), 0o644)
-	// The sidecar still covers the old size; shrink-proof it by
-	// deleting, forcing the full-rescan path over the damaged file.
-	os.Remove(filepath.Join(dir, indexName))
 
 	m := obs.NewMetrics()
 	s2 := openTestFS(t, dir, FSOptions{Metrics: m})
@@ -185,10 +192,9 @@ func TestFSCorruptInteriorLine(t *testing.T) {
 	}
 }
 
-// TestFSStaleIndexRebuild shrinks a segment below what the sidecar
-// claims: replay must distrust the sidecar, rescan, and count a
-// rebuild.
-func TestFSStaleIndexRebuild(t *testing.T) {
+// TestFSShrunkSegment drops a whole record line from a closed segment:
+// replay must keep exactly the records still on disk.
+func TestFSShrunkSegment(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestFS(t, dir, FSOptions{})
 	for i := 0; i < 4; i++ {
@@ -196,40 +202,36 @@ func TestFSStaleIndexRebuild(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.Close() // sidecar now covers all 4 records
+	s.Close()
 	seg := filepath.Join(dir, "run-000001.jsonl")
 	b, _ := os.ReadFile(seg)
 	lines := strings.SplitAfter(string(b), "\n")
 	os.WriteFile(seg, []byte(strings.Join(lines[:3], "")), 0o644) // drop the last record
 
-	m := obs.NewMetrics()
-	s2 := openTestFS(t, dir, FSOptions{Metrics: m})
+	s2 := openTestFS(t, dir, FSOptions{})
 	defer s2.Close()
 	if s2.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s2.Len())
 	}
-	if got := m.Counter("runstore.index_rebuilds").Value(); got != 1 {
-		t.Fatalf("index_rebuilds = %d", got)
-	}
 }
 
-// TestFSIndexTailScan writes past the sidecar (as a crash between
-// index flushes leaves things), reopens, and proves the covered prefix
-// is trusted while the tail is scanned — no record lost either way.
-func TestFSIndexTailScan(t *testing.T) {
+// TestFSPutsSurviveAbandon reopens a store, puts more records and
+// abandons it without Close (as a crash leaves things), and proves a
+// third open finds every record.
+func TestFSPutsSurviveAbandon(t *testing.T) {
 	dir := t.TempDir()
 	s := openTestFS(t, dir, FSOptions{})
 	if err := s.Put(reportRecord("cald", "OK", time.Unix(6000, 0))); err != nil {
 		t.Fatal(err)
 	}
-	s.Close() // index covers record 1
+	s.Close()
 	s2 := openTestFS(t, dir, FSOptions{})
-	for i := 0; i < 3; i++ { // below indexEvery: the sidecar stays stale
+	for i := 0; i < 3; i++ {
 		if err := s2.Put(reportRecord("cald", "OK", time.Unix(int64(6001+i), 0))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Abandon without Close. The sidecar covers 1 record, disk has 4.
+	// Abandon without Close.
 	s3 := openTestFS(t, dir, FSOptions{})
 	defer s3.Close()
 	if s3.Len() != 4 {
@@ -237,14 +239,13 @@ func TestFSIndexTailScan(t *testing.T) {
 	}
 }
 
-// TestFSRotationAndCompaction drives segment rotation with a tiny
-// bound, supersedes most records, and proves open-time compaction
-// rewrites the store without losing the live set.
+// TestFSRotationAndCompaction supersedes most records and proves
+// open-time compaction rewrites the store without losing the live set.
 func TestFSRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	m := obs.NewMetrics()
-	s := openTestFS(t, dir, FSOptions{SegmentBytes: 512, Metrics: m})
-	// 12 distinct records across several tiny segments.
+	s := openTestFS(t, dir, FSOptions{Metrics: m})
+	// 12 distinct records.
 	for i := 0; i < 12; i++ {
 		if err := s.Put(reportRecord("calbench", "OK", time.Unix(int64(7000+i), 0))); err != nil {
 			t.Fatal(err)
@@ -261,12 +262,9 @@ func TestFSRotationAndCompaction(t *testing.T) {
 		}
 	}
 	segs, _ := s.segments()
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation, segments = %v", segs)
-	}
 	s.Close()
 
-	s2 := openTestFS(t, dir, FSOptions{SegmentBytes: 512, Metrics: m})
+	s2 := openTestFS(t, dir, FSOptions{Metrics: m})
 	defer s2.Close()
 	if got := m.Counter("runstore.compactions").Value(); got != 1 {
 		t.Fatalf("compactions = %d, want 1", got)
@@ -282,8 +280,7 @@ func TestFSRotationAndCompaction(t *testing.T) {
 	if rec.TimeNS != time.Unix(7111, 0).UnixNano() {
 		t.Fatalf("r-1 time = %d, want the newest copy", rec.TimeNS)
 	}
-	// Old segments are gone; only the compacted one (plus a fresh
-	// active, when rotation follows) remains.
+	// Old segments are gone; only the compacted one remains.
 	segs2, _ := s2.segments()
 	for _, n := range segs2 {
 		for _, old := range segs {
@@ -310,7 +307,6 @@ func TestFSCompactionCrashDuplicates(t *testing.T) {
 	// what an interrupted compaction leaves behind.
 	b, _ := os.ReadFile(filepath.Join(dir, "run-000001.jsonl"))
 	os.WriteFile(filepath.Join(dir, "run-000002.jsonl"), b, 0o644)
-	os.Remove(filepath.Join(dir, indexName))
 
 	s2 := openTestFS(t, dir, FSOptions{})
 	defer s2.Close()
@@ -320,6 +316,72 @@ func TestFSCompactionCrashDuplicates(t *testing.T) {
 	recs, err := s2.List(Filter{})
 	if err != nil || len(recs) != 3 {
 		t.Fatalf("List = %v (err %v)", recs, err)
+	}
+}
+
+// TestFSOpensRotatedLayout opens a directory in the layout of a store
+// that rotated segments and kept an index sidecar: three segments, a
+// superseding copy and a tombstone in later ones, and an index.json
+// that still lists the tombstoned record. Open must fold the segments
+// into the live set with the newest copies, and leave one segment and
+// no sidecar.
+func TestFSOpensRotatedLayout(t *testing.T) {
+	dir := t.TempDir()
+	line := func(id string, sec int64, deleted bool) string {
+		rec := &Record{Schema: RecordSchema, ID: id, Deleted: deleted}
+		if !deleted {
+			rec = reportRecord("cald", "OK", time.Unix(sec, 0))
+			rec.ID = id
+			rec.normalize(time.Now)
+		}
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b) + "\n"
+	}
+	files := map[string]string{
+		"run-000001.jsonl": line("r-1", 100, false) + line("r-2", 101, false) + line("r-3", 102, false),
+		"run-000002.jsonl": line("r-4", 103, false) + line("r-2", 200, false) + line("r-5", 104, false),
+		"run-000003.jsonl": line("r-3", 0, true) + line("r-6", 105, false),
+		"index.json": `{"schema":"calgo.runstore-index/v1","segments":[{"name":"run-000001.jsonl",` +
+			`"size":1,"entries":[{"id":"r-3","seg":1,"off":0,"len":1,"time_unix_ns":0}]}]}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := openTestFS(t, dir, FSOptions{})
+	defer s.Close()
+	recs, err := s.List(Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, rec := range recs {
+		ids = append(ids, rec.ID)
+	}
+	if got := strings.Join(ids, " "); got != "r-1 r-4 r-5 r-6 r-2" {
+		t.Fatalf("live set by time = %q, want r-1 r-4 r-5 r-6 r-2", got)
+	}
+	if rec, ok, _ := s.Get("r-2"); !ok || rec.TimeNS != time.Unix(200, 0).UnixNano() || rec.Report == nil {
+		t.Fatalf("r-2 = %+v (ok %v), want the newest copy with its report", rec, ok)
+	}
+	if _, ok, _ := s.Get("r-3"); ok {
+		t.Fatal("tombstoned r-3 resurrected")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if len(names) != 1 || !strings.HasPrefix(names[0], "run-") {
+		t.Fatalf("directory after open = %v, want one segment and no index.json", names)
 	}
 }
 
@@ -396,7 +458,7 @@ func TestFSIngestBenchDirIdempotent(t *testing.T) {
 // lists and gets against one FS instance.
 func TestFSConcurrent(t *testing.T) {
 	dir := t.TempDir()
-	s := openTestFS(t, dir, FSOptions{SegmentBytes: 4096, Metrics: obs.NewMetrics()})
+	s := openTestFS(t, dir, FSOptions{Metrics: obs.NewMetrics()})
 	defer s.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -9,10 +9,10 @@
 //
 //   - Store: a Put/Get/List interface over run records, with two
 //     backends — an in-memory bounded Ring (the default behind every
-//     /runsz endpoint) and a durable filesystem store (append-only
-//     JSON-lines segments with an index sidecar, fsynced writes and
-//     corrupt-line-skipping replay, in the style of the cald jobs
-//     journal).
+//     /runsz endpoint) and a durable filesystem store (one append-only
+//     JSON-lines segment on the internal/jsonlog log the cald jobs
+//     journal also uses: fsynced writes, corrupt-line-skipping replay,
+//     compaction by rewrite).
 //   - Query: label selectors, time ranges and per-cell regression
 //     deltas against a chosen baseline record, serving `calreport
 //     -query`, the /queryz endpoint and `calbench -auto` baseline
