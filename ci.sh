@@ -25,6 +25,12 @@ go build ./...
 echo "== go test ./... =="
 go test ./...
 
+# perfbench is a module of its own (replace calgo => ../), so neither
+# the root vet nor the root tests compile it: vet and test it here, so a
+# library change that breaks the benchmark fails this gate first.
+echo "== perfbench: go vet ./... && go test ./... =="
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== GOMAXPROCS=4 go test -race -short ./... =="
 GOMAXPROCS=4 go test -race -short ./...
 
@@ -433,7 +439,10 @@ rec = runs[0]
 assert rec["schema"] == "calgo.run/v1", rec
 assert rec["tool"] == "cald" and rec["verdict"] == "OK", rec
 assert rec["labels"]["spec"] == "exchanger", rec
-print("verdict cache: hit counted, no second search (1 record on /runsz)")
+# /runsz is the one copy of ended jobs: /statusz carries no per-job runs.
+st = json.load(urllib.request.urlopen(base + "/statusz", timeout=10))
+assert not st.get("runs"), "want no runs on cald /statusz, got %r" % st.get("runs")
+print("verdict cache: hit counted, no second search (1 record on /runsz, none on /statusz)")
 ' "$url1"
 
 # 2b. Long-poll: GET /jobs/{id}?wait=10s on a just-submitted job answers

@@ -181,9 +181,38 @@ func run() int {
 		return 2
 	}
 
+	// -auto keeps its run-history store open to record this run's
+	// tables; its newest bench record is the baseline unless -compare
+	// names another.
+	var (
+		autoStore runstore.Store
+		baseLabel string
+		base      *jsonReport
+	)
 	if *auto != "" {
-		if err := resolveAuto(shared); err != nil {
+		st, rec, err := openTrajectory(*auto, shared)
+		if err != nil {
 			return fail("resolving -auto", err)
+		}
+		autoStore = st
+		if *jsonPath == "" {
+			*jsonPath = filepath.Join(*auto, "BENCH_"+time.Now().UTC().Format("2006-01-02")+".json")
+		}
+		if rec == nil {
+			shared.Logger().Info("no baseline trajectory point yet; this run seeds the trajectory", "store", *auto)
+		} else if *compare == "" {
+			baseLabel, base = fmt.Sprintf("%s (store %s)", rec.ID, *auto), rec.Bench
+			if _, err := os.Stat(*jsonPath); err == nil {
+				shared.Logger().Info("baseline is today's file; this run will overwrite it after comparing", "path", *jsonPath)
+			}
+			shared.Logger().Info("auto-comparing against newest baseline",
+				"baseline", rec.ID, "generated", rec.Bench.Generated)
+		}
+	}
+	if *compare != "" {
+		var err error
+		if baseLabel, base, err = loadBaseline(*compare, shared); err != nil {
+			return fail("loading baseline", err)
 		}
 	}
 
@@ -224,18 +253,8 @@ func run() int {
 		}
 	}
 
-	if exit == 0 && (*compare != "" || autoBase != nil) {
-		label, base := autoBaseLabel, autoBase
-		if *compare != "" {
-			var err error
-			if label, base, err = loadBaseline(*compare); err != nil {
-				return fail("loading baseline", err)
-			}
-		}
-		worst, err := compareBaseline(label, base, snapshotTables())
-		if err != nil {
-			return fail("comparing baseline", err)
-		}
+	if exit == 0 && base != nil {
+		worst := compareBaseline(baseLabel, base, snapshotTables())
 		if *gate > 0 && worst.pct > *gate {
 			fmt.Printf("REGRESSION: %s is %.1f%% below baseline, gate is %.0f%%\n", worst.cell, worst.pct, *gate)
 			exit = 1
@@ -279,77 +298,47 @@ func run() int {
 	return exit
 }
 
-// The -auto run-history plumbing: the FS store whose segments live
-// beside the BENCH_*.json files in the -auto directory, and the
-// baseline bench document chosen from it.
-var (
-	autoStore     runstore.Store
-	autoBase      *jsonReport
-	autoBaseLabel string
-)
-
-// resolveAuto opens the run-history store in the -auto directory,
-// ingests any committed BENCH_*.json files not yet recorded
-// (idempotent: deterministic per-file IDs) and lands this run's tables
-// in BENCH_<today>.json (unless -json is set). The newest bench record
-// *by generation timestamp* becomes the comparison baseline — not the
-// lexically newest filename, which stops being date order the moment a
-// file name doesn't embed one — and the run's tables are recorded in
-// the store afterwards. Explicit -compare/-json win.
-func resolveAuto(shared *cliflags.Set) error {
-	st, err := runstore.OpenFS(*auto, runstore.FSOptions{Metrics: shared.Metrics(), Logger: shared.Logger()})
+// openTrajectory opens the run-history store in dir, ingests the
+// BENCH_*.json files there that it does not hold yet (deterministic
+// per-file IDs make this idempotent), and returns the store with its
+// newest bench record by generation timestamp — not the lexically
+// newest file name, which stops being date order the moment a name
+// does not embed one. The record is nil when the store has none.
+func openTrajectory(dir string, shared *cliflags.Set) (runstore.Store, *runstore.Record, error) {
+	st, err := runstore.OpenFS(dir, runstore.FSOptions{Metrics: shared.Metrics(), Logger: shared.Logger()})
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	autoStore = st
-	if n, err := runstore.IngestBenchDir(st, *auto, shared.Logger()); err != nil {
-		return err
-	} else if n > 0 {
-		shared.Logger().Info("ingested committed trajectory files", "dir", *auto, "files", n)
-	}
-	if *jsonPath == "" {
-		*jsonPath = filepath.Join(*auto, "BENCH_"+time.Now().UTC().Format("2006-01-02")+".json")
-	}
-	if *compare != "" {
-		return nil // an explicit baseline wins over the store's newest
-	}
-	rec, err := runstore.Latest(autoStore, runstore.Filter{Kind: runstore.KindBench})
+	n, err := runstore.IngestBenchDir(st, dir, shared.Logger())
 	if err != nil {
-		return err
+		st.Close()
+		return nil, nil, err
 	}
-	if rec == nil || rec.Bench == nil {
-		shared.Logger().Info("no baseline trajectory point yet; this run seeds the trajectory", "store", *auto)
-		return nil
+	if n > 0 {
+		shared.Logger().Info("ingested committed trajectory files", "dir", dir, "files", n)
 	}
-	autoBase, autoBaseLabel = rec.Bench, fmt.Sprintf("%s (store %s)", rec.ID, *auto)
-	if *jsonPath != "" {
-		if _, err := os.Stat(*jsonPath); err == nil {
-			shared.Logger().Info("baseline is today's file; this run will overwrite it after comparing", "path", *jsonPath)
-		}
+	rec, err := runstore.Latest(st, runstore.Filter{Kind: runstore.KindBench})
+	if err != nil {
+		st.Close()
+		return nil, nil, err
 	}
-	shared.Logger().Info("auto-comparing against newest baseline",
-		"baseline", rec.ID, "generated", rec.Bench.Generated)
-	return nil
+	if rec != nil && rec.Bench == nil {
+		rec = nil // a bench-kind record without its document compares nothing
+	}
+	return st, rec, nil
 }
 
 // loadBaseline resolves a -compare argument: a BENCH_*.json document,
-// or a run-store directory whose newest bench record (by generation
-// time) becomes the baseline.
-func loadBaseline(path string) (string, *jsonReport, error) {
+// or a run-store directory whose newest bench record becomes the
+// baseline.
+func loadBaseline(path string, shared *cliflags.Set) (string, *jsonReport, error) {
 	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
-		st, err := runstore.OpenFS(path, runstore.FSOptions{})
+		st, rec, err := openTrajectory(path, shared)
 		if err != nil {
 			return "", nil, err
 		}
-		defer st.Close()
-		if _, err := runstore.IngestBenchDir(st, path, nil); err != nil {
-			return "", nil, err
-		}
-		rec, err := runstore.Latest(st, runstore.Filter{Kind: runstore.KindBench})
-		if err != nil {
-			return "", nil, err
-		}
-		if rec == nil || rec.Bench == nil {
+		st.Close()
+		if rec == nil {
 			return "", nil, fmt.Errorf("no bench records in run store %s", path)
 		}
 		return fmt.Sprintf("%s (store %s)", rec.ID, path), rec.Bench, nil
@@ -425,41 +414,28 @@ type regression struct {
 }
 
 // compareBaseline prints, per table, the percent delta of every cell
-// present in both the baseline document and this run (positive =
-// faster than baseline). Cells only one side has are counted and
-// noted, never compared. Returns the worst regression.
-func compareBaseline(label string, base *jsonReport, tables []jsonTable) (regression, error) {
-	if base == nil {
-		return regression{}, fmt.Errorf("no baseline document")
-	}
+// runstore.BenchDeltas matches by table ID, row name and column value
+// (positive = faster than baseline). A cell present on one side only,
+// or with a zero baseline rate, prints "-" and is counted, never
+// compared. Returns the worst regression.
+func compareBaseline(label string, base *jsonReport, tables []jsonTable) regression {
 	fmt.Printf("compare vs %s (baseline: gomaxprocs=%d, window=%s, generated %s)\n",
 		label, base.GOMAXPROCS, base.Window, base.Generated)
 	if base.GOMAXPROCS != runtime.GOMAXPROCS(0) || base.Window != duration.String() {
 		fmt.Printf("note: baseline settings differ from this run (gomaxprocs=%d, window=%v); deltas are indicative only\n",
 			runtime.GOMAXPROCS(0), *duration)
 	}
-
-	baseTables := make(map[string]jsonTable, len(base.Tables))
-	for _, t := range base.Tables {
-		baseTables[t.ID] = t
+	deltas, skipped := runstore.BenchDeltas(base, &jsonReport{Tables: tables}, "")
+	type cell struct {
+		table, row string
+		column     int
+	}
+	pct := make(map[cell]float64, len(deltas))
+	for _, d := range deltas {
+		pct[cell{d.Table, d.Row, d.Column}] = d.Pct
 	}
 	worst := regression{pct: -1}
-	skipped := 0
 	for _, cur := range tables {
-		bt, ok := baseTables[cur.ID]
-		if !ok {
-			fmt.Printf("\n%s: not in baseline, skipped\n", cur.ID)
-			skipped++
-			continue
-		}
-		baseCols := make(map[int]int, len(bt.Columns)) // column value -> index
-		for i, c := range bt.Columns {
-			baseCols[c] = i
-		}
-		baseRows := make(map[string][]float64, len(bt.Rows))
-		for _, r := range bt.Rows {
-			baseRows[r.Name] = r.OpsPerSec
-		}
 		fmt.Printf("\n%s — delta vs baseline (%%)\n", cur.Title)
 		fmt.Printf("%-22s", cur.ColumnLabel)
 		for _, c := range cur.Columns {
@@ -467,27 +443,16 @@ func compareBaseline(label string, base *jsonReport, tables []jsonTable) (regres
 		}
 		fmt.Println()
 		for _, row := range cur.Rows {
-			bvals, ok := baseRows[row.Name]
-			if !ok {
-				fmt.Printf("%-22s%12s\n", row.Name, "(new row)")
-				skipped++
-				continue
-			}
 			fmt.Printf("%-22s", row.Name)
-			for i, c := range cur.Columns {
-				j, ok := baseCols[c]
-				if !ok || j >= len(bvals) || i >= len(row.OpsPerSec) || bvals[j] <= 0 {
+			for _, c := range cur.Columns {
+				delta, ok := pct[cell{cur.ID, row.Name, c}]
+				if !ok {
 					fmt.Printf("%12s", "-")
-					skipped++
 					continue
 				}
-				delta := (row.OpsPerSec[i] - bvals[j]) / bvals[j] * 100
 				fmt.Printf("%+11.1f%%", delta)
 				if -delta > worst.pct {
-					worst = regression{
-						pct:  -delta,
-						cell: fmt.Sprintf("%s %q %s=%d", cur.ID, row.Name, cur.ColumnLabel, c),
-					}
+					worst = regression{pct: -delta, cell: fmt.Sprintf("%s %q %s=%d", cur.ID, row.Name, cur.ColumnLabel, c)}
 				}
 			}
 			fmt.Println()
@@ -502,7 +467,7 @@ func compareBaseline(label string, base *jsonReport, tables []jsonTable) (regres
 	} else {
 		fmt.Println("no cell regressed below its baseline")
 	}
-	return worst, nil
+	return worst
 }
 
 // sweep runs work on each goroutine count for the window and returns

@@ -102,3 +102,26 @@ func TestBenchTablesSmoke(t *testing.T) {
 	benchQueues()
 	benchElimK()
 }
+
+// TestCompareBaselineWorstCell pins what -gate reads: the worst cell is
+// named by table, row and column value, and cells only one side has, or
+// with a zero baseline rate, are not compared.
+func TestCompareBaselineWorstCell(t *testing.T) {
+	base := &jsonReport{Tables: []jsonTable{{
+		ID: "B7", ColumnLabel: "goroutines", Columns: []int{1, 2, 4},
+		Rows: []jsonRow{{Name: "michael-scott", OpsPerSec: []float64{100, 200, 0}}},
+	}}}
+	cur := []jsonTable{
+		{ID: "B7", Title: "B7: queues", ColumnLabel: "goroutines", Columns: []int{2, 4, 8},
+			Rows: []jsonRow{
+				{Name: "michael-scott", OpsPerSec: []float64{100, 50, 10}},
+				{Name: "new row", OpsPerSec: []float64{1, 1, 1}},
+			}},
+		{ID: "B9", Title: "B9: not in baseline", ColumnLabel: "K", Columns: []int{1},
+			Rows: []jsonRow{{Name: "x", OpsPerSec: []float64{1}}}},
+	}
+	worst := compareBaseline("test", base, cur)
+	if worst.pct != 50 || worst.cell != `B7 "michael-scott" goroutines=2` {
+		t.Errorf("worst = %+v, want 50%% at B7 \"michael-scott\" goroutines=2", worst)
+	}
+}

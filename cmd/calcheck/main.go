@@ -60,7 +60,7 @@ func run() int {
 	var (
 		specName   = flag.String("spec", "exchanger", "specification: exchanger, elimarray, stack, central-stack, dual-stack, queue, set, pqueue, syncqueue, register, snapshot")
 		object     = flag.String("object", "E", "object identifier the spec constrains")
-		threads    = flag.Int("threads", 4, "participant bound for -spec snapshot")
+		threads    = flag.Int("threads", 4, "participant bound for -spec snapshot (0 = 4)")
 		mode       = flag.String("mode", "cal", "property: cal (concurrency-aware), lin (classical), setlin")
 		verbose    = flag.Bool("v", false, "print the witness trace and search statistics")
 		maxStats   = flag.Int("max-states", 4_000_000, "checker state budget")
@@ -80,7 +80,7 @@ func run() int {
 		return runRemote(shared, *remote, inputs, *specName, *object, *threads, *mode, *verbose)
 	}
 
-	sp, err := specByName(*specName, calgo.ObjectID(*object), *threads)
+	sp, err := jobs.SpecByName(*specName, *object, *threads)
 	if err != nil {
 		shared.Logger().Error("bad specification", "err", err)
 		return 2
@@ -334,35 +334,6 @@ func propertyName(mode string) string {
 		return "linearizable"
 	default:
 		return "set-linearizable"
-	}
-}
-
-func specByName(name string, o calgo.ObjectID, threads int) (calgo.Spec, error) {
-	switch name {
-	case "exchanger":
-		return calgo.NewExchangerSpec(o), nil
-	case "elimarray":
-		return calgo.NewElimArraySpec(o), nil
-	case "stack":
-		return calgo.NewStackSpec(o), nil
-	case "central-stack":
-		return calgo.NewCentralStackSpec(o), nil
-	case "dual-stack":
-		return calgo.NewDualStackSpec(o), nil
-	case "snapshot":
-		return calgo.NewSnapshotSpec(o, threads), nil
-	case "queue":
-		return calgo.NewQueueSpec(o), nil
-	case "set":
-		return calgo.NewSetSpec(o), nil
-	case "pqueue":
-		return calgo.NewPQueueSpec(o), nil
-	case "syncqueue":
-		return calgo.NewSyncQueueSpec(o), nil
-	case "register":
-		return calgo.NewRegisterSpec(o), nil
-	default:
-		return nil, fmt.Errorf("unknown spec %q", name)
 	}
 }
 

@@ -22,23 +22,6 @@ func resetFlagsForTest(t *testing.T, args []string) {
 	})
 }
 
-func TestSpecByName(t *testing.T) {
-	known := []string{"exchanger", "elimarray", "stack", "central-stack", "dual-stack", "queue", "syncqueue", "register", "snapshot"}
-	for _, name := range known {
-		sp, err := specByName(name, "O", 3)
-		if err != nil {
-			t.Errorf("specByName(%q): %v", name, err)
-			continue
-		}
-		if sp.Object() != "O" {
-			t.Errorf("specByName(%q).Object() = %q", name, sp.Object())
-		}
-	}
-	if _, err := specByName("nonsense", "O", 3); err == nil {
-		t.Error("unknown spec should fail")
-	}
-}
-
 func TestPropertyName(t *testing.T) {
 	tests := map[string]string{
 		"cal":    "CA-linearizable",
@@ -129,6 +112,14 @@ func TestRunEndToEnd(t *testing.T) {
 		"res t1 E.exchange (true,4)",
 	}, "\n"))
 	garbage := write("garbage.txt", "zap zap zap")
+	// Two updates that both see both values: one CA-element of two, which
+	// a snapshot spec with the job API's default of 4 participants admits.
+	snapshot := write("snapshot.txt", strings.Join([]string{
+		"inv t1 I.update 1",
+		"inv t2 I.update 2",
+		"res t1 I.update (true,2)",
+		"res t2 I.update (true,2)",
+	}, "\n"))
 
 	tests := []struct {
 		name string
@@ -145,6 +136,8 @@ func TestRunEndToEnd(t *testing.T) {
 		{"garbage input", []string{"-spec", "exchanger", garbage}, 2},
 		{"batch all ok", []string{"-spec", "exchanger", "-workers", "2", swap, swap, swap}, 0},
 		{"batch violation dominates", []string{"-spec", "exchanger", "-workers", "2", swap, loneSuccess, swap}, 1},
+		{"snapshot threads 4", []string{"-spec", "snapshot", "-object", "I", "-threads", "4", snapshot}, 0},
+		{"snapshot threads 0 as remote", []string{"-spec", "snapshot", "-object", "I", "-threads", "0", snapshot}, 0},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -31,6 +31,15 @@
 // server limits (exhaustion surfaces as UNKNOWN, never a hung request);
 // and a crash-safe append-only journal — SIGTERM drains running jobs,
 // pending ones persist, and a restarted daemon resumes them.
+//
+// Memory stays bounded under steady traffic. A job echoes its history
+// only while pending (the journal keeps the copy a restart resumes),
+// a closed stream keeps its final frame but not its checker, and the
+// job and stream tables each keep the 1,024 entries that ended last;
+// an older ID answers 404. Each executed job and each closed stream is
+// published once, as a calgo.run/v1 record on /runsz (a bounded ring,
+// or the -store directory). The collector runs at GOGC=400 unless the
+// GOGC environment variable is set.
 package main
 
 import (
@@ -38,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"time"
 
 	"calgo"
@@ -49,10 +59,13 @@ import (
 	"calgo/internal/runstore"
 )
 
-// runLabels is the run-record label set cald publishes (the vocabulary
-// pinned in EXPERIMENTS.md "Run-history store"); empty values are
-// omitted so label selectors stay exact-match.
-func runLabels(spec, mode, engine, object, client string) map[string]string {
+// runRecord is the calgo.run/v1 record cald publishes on /runsz for one
+// ended job or stream, labelled with the vocabulary pinned in
+// EXPERIMENTS.md "Run-history store"; empty label values are omitted so
+// label selectors stay exact-match.
+func runRecord(id, verdict, detail, spec, mode, engine, object, client string) *runstore.Record {
+	doc := render.NewReport("cald", time.Now())
+	doc.Runs = []render.Run{{Name: id, Verdict: verdict, Detail: detail}}
 	labels := make(map[string]string, 5)
 	for k, v := range map[string]string{
 		"spec": spec, "mode": mode, "engine": engine, "object": object, "client": client,
@@ -61,7 +74,7 @@ func runLabels(spec, mode, engine, object, client string) map[string]string {
 			labels[k] = v
 		}
 	}
-	return labels
+	return &runstore.Record{Report: doc, Labels: labels}
 }
 
 func main() {
@@ -102,6 +115,17 @@ func run() int {
 		fmt.Fprint(flag.CommandLine.Output(), cliflags.ExitLegend)
 	}
 	flag.Parse()
+
+	// Ended jobs and streams keep only their documents, so the live heap
+	// stays a few MB while each job allocates its parsed history and
+	// search state. At the default GOGC of 100 the collector then runs
+	// tens of times a second under load, and its mark phases show in
+	// request latency; collecting at 5x the live heap spends part of the
+	// memory the documents no longer hold on fewer cycles. An explicit
+	// GOGC still wins.
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(400)
+	}
 
 	logger, err := cliflags.NewLogger("cald", *logLevel, *logFormat)
 	if err != nil {
@@ -144,18 +168,11 @@ func run() int {
 		Metrics:          metrics,
 		Logger:           logger,
 		OnDone: func(j jobs.Job) {
-			// Every *executed* search lands on /runsz and /statusz —
-			// cache hits deliberately do not, which is how the CI smoke
-			// proves a replayed submission re-paid nothing.
-			ops.AddRun(render.Run{Name: j.ID + " " + j.Request.Spec + "/" + j.Request.Mode,
-				Verdict: j.Verdict, Detail: j.Detail})
-			doc := render.NewReport("cald", time.Now())
-			doc.Runs = []render.Run{{Name: j.ID, Verdict: j.Verdict, Detail: j.Detail}}
-			ops.AddRecord(&runstore.Record{
-				Report: doc,
-				Labels: runLabels(j.Request.Spec, j.Request.Mode, j.Request.Engine,
-					j.Request.Object, j.Client),
-			})
+			// Every *executed* search lands on /runsz — cache hits
+			// deliberately do not, which is how the CI smoke proves a
+			// replayed submission re-paid nothing.
+			ops.AddRecord(runRecord(j.ID, j.Verdict, j.Detail, j.Request.Spec, j.Request.Mode,
+				j.Request.Engine, j.Request.Object, j.Client))
 		},
 	})
 	if err != nil {
@@ -175,16 +192,8 @@ func run() int {
 		Metrics:        metrics,
 		Logger:         logger,
 		OnClose: func(d jobs.StreamDoc) {
-			ops.AddRun(render.Run{Name: d.ID + " " + d.Request.Spec + "/stream",
-				Verdict: d.Verdict.Status.String(), Detail: d.Verdict.String()})
-			doc := render.NewReport("cald", time.Now())
-			doc.Runs = []render.Run{{Name: d.ID,
-				Verdict: d.Verdict.Status.String(), Detail: d.Verdict.String()}}
-			ops.AddRecord(&runstore.Record{
-				Report: doc,
-				Labels: runLabels(d.Request.Spec, "stream", d.Request.Engine,
-					d.Request.Object, d.Client),
-			})
+			ops.AddRecord(runRecord(d.ID, d.Verdict.Status.String(), d.Verdict.String(),
+				d.Request.Spec, "stream", d.Request.Engine, d.Request.Object, d.Client))
 		},
 	})
 

@@ -310,9 +310,7 @@ func TestHTTPWatchClientDisconnect(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		m.mu.Lock()
-		n := len(m.watchers[queued.ID])
-		m.mu.Unlock()
+		n := subscribers(m, queued.ID)
 		if n == 0 {
 			break
 		}
@@ -445,14 +443,21 @@ func longPollFixture(t *testing.T) (*Manager, *httptest.Server, chan struct{}, J
 	return m, srv, release, queued
 }
 
+// subscribers counts id's open Watch subscriptions in the job table.
+func subscribers(m *Manager, id string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e, ok := m.byID[id]; ok {
+		return len(e.subs)
+	}
+	return 0
+}
+
 // subscribed waits until id has a Watch subscriber, such as an open
 // long-poll, and reports whether one appeared within 5s.
 func subscribed(m *Manager, id string) bool {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		m.mu.Lock()
-		n := len(m.watchers[id])
-		m.mu.Unlock()
-		if n > 0 {
+		if subscribers(m, id) > 0 {
 			return true
 		}
 	}
@@ -491,12 +496,12 @@ func TestHTTPLongPollBoundReturnsSnapshot(t *testing.T) {
 		t.Errorf("bounded long-poll took %v, want about 150ms", took)
 	}
 	// The expired wait leaves no subscription behind, not even an
-	// empty entry.
+	// empty list.
 	m.mu.Lock()
-	_, held := m.watchers[queued.ID]
+	held := m.byID[queued.ID].subs != nil
 	m.mu.Unlock()
 	if held {
-		t.Error("an expired long-poll left its job in the watcher table")
+		t.Error("an expired long-poll left its job a subscription list in the table")
 	}
 }
 

@@ -20,6 +20,7 @@
 package jobs
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -70,7 +71,9 @@ type Request struct {
 	// job document always records the effective engine.
 	Engine string `json:"engine,omitempty"`
 	// History is the line-oriented interchange format accepted by
-	// calcheck (inv/res lines).
+	// calcheck (inv/res lines). A job document echoes it only while the
+	// job is pending: an ended job keeps only its verdict, and the
+	// journal holds the copy a restart resumes.
 	History string `json:"history"`
 	// TimeoutMS is the per-job wall-clock deadline in milliseconds.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -112,10 +115,14 @@ type Job struct {
 	// pending; not serialized (the journal re-parses Request.History on
 	// replay).
 	parsed history.History
+	// cancel interrupts the search of a running job.
+	cancel context.CancelFunc
 	// cancelRequested marks a running job whose context has been
 	// cancelled by Cancel; the worker finalizes it as StateCanceled.
 	cancelRequested bool
 }
+
+func (j Job) ended() bool { return j.State.Terminal() }
 
 // RequestError is a permanently-bad submission (unknown spec, malformed
 // history, over-limit input): the HTTP layer answers 400 and clients

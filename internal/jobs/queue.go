@@ -56,21 +56,17 @@ type Config struct {
 }
 
 // Manager owns the job table, the bounded queue and the worker pool.
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use; Get, List and Watch come
+// from the embedded table, whose mutex also guards nextID.
 type Manager struct {
+	table[Job]
 	cfg     Config
 	log     *slog.Logger
 	limits  history.Limits
 	cache   *cache
 	limiter *limiter
 	journal *journal
-
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string
-	watchers map[string][]chan Job
-	cancels  map[string]context.CancelFunc
-	nextID   int
+	nextID  int
 
 	queue    chan string
 	stopCtx  context.Context
@@ -120,14 +116,11 @@ func New(cfg Config) (*Manager, error) {
 	}
 
 	m := &Manager{
-		cfg:      cfg,
-		log:      cfg.Logger,
-		limits:   history.Limits{MaxBytes: cfg.MaxHistoryBytes, MaxEvents: cfg.MaxHistoryEvents},
-		cache:    newCache(cfg.CacheEntries),
-		limiter:  newLimiter(cfg.Rate, cfg.Burst),
-		jobs:     make(map[string]*Job),
-		watchers: make(map[string][]chan Job),
-		cancels:  make(map[string]context.CancelFunc),
+		cfg:     cfg,
+		log:     cfg.Logger,
+		limits:  history.Limits{MaxBytes: cfg.MaxHistoryBytes, MaxEvents: cfg.MaxHistoryEvents},
+		cache:   newCache(cfg.CacheEntries),
+		limiter: newLimiter(cfg.Rate, cfg.Burst),
 	}
 	m.stopCtx, m.stopFn = context.WithCancel(context.Background())
 
@@ -173,8 +166,7 @@ func New(cfg Config) (*Manager, error) {
 		j.State = StatePending
 		j.Resumed = true
 		j.parsed = h
-		m.jobs[j.ID] = j
-		m.order = append(m.order, j.ID)
+		m.add(j.ID, *j)
 		m.queue <- j.ID
 		m.cResumed.Inc()
 		m.log.Info("resuming journaled job", "job", j.ID, "spec", j.Request.Spec)
@@ -247,6 +239,7 @@ func (m *Manager) Submit(client string, req Request) (Job, error) {
 	key := cacheKey(h, req)
 	if v, ok := m.cache.get(key); ok {
 		m.cCacheHits.Inc()
+		req.History = "" // an ended job keeps only its document
 		job := Job{
 			Schema: Schema, Client: client, State: StateDone, Request: req,
 			SubmittedNS: now, FinishedNS: now,
@@ -256,11 +249,9 @@ func (m *Manager) Submit(client string, req Request) (Job, error) {
 		m.mu.Lock()
 		m.nextID++
 		job.ID = jobID(m.nextID)
-		m.jobs[job.ID] = &job
-		m.order = append(m.order, job.ID)
-		snap := job
+		m.add(job.ID, job)
 		m.mu.Unlock()
-		return snap, nil
+		return job, nil
 	}
 	m.cCacheMisses.Inc()
 
@@ -274,23 +265,21 @@ func (m *Manager) Submit(client string, req Request) (Job, error) {
 		return Job{}, &OverloadError{Cause: "queue full", RetryAfter: time.Second}
 	}
 	m.nextID++
-	job := &Job{
+	job := Job{
 		Schema: Schema, ID: jobID(m.nextID),
 		Client: client, State: StatePending, Request: req,
 		SubmittedNS: now, parsed: h,
 	}
-	if err := m.journal.submit(job); err != nil {
+	if err := m.journal.submit(&job); err != nil {
 		m.mu.Unlock()
 		return Job{}, err
 	}
-	m.jobs[job.ID] = job
-	m.order = append(m.order, job.ID)
+	m.add(job.ID, job)
 	m.queue <- job.ID
 	m.gQueueDepth.Set(int64(len(m.queue)))
-	snap := *job
 	m.mu.Unlock()
 	m.cSubmitted.Inc()
-	return snap, nil
+	return job, nil
 }
 
 // clamp64 returns v bounded to (0, max]: non-positive v inherits max.
@@ -308,36 +297,14 @@ func clampInt(v, max int) int {
 	return v
 }
 
-// Get returns a snapshot of the job, if known.
-func (m *Manager) Get(id string) (Job, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return Job{}, false
-	}
-	return *j, true
-}
-
-// List returns snapshots of every known job in submission order.
-func (m *Manager) List() []Job {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Job, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, *m.jobs[id])
-	}
-	return out
-}
-
 // Cancel requests cancellation: a pending job is finalized immediately,
 // a running job's search is interrupted and finalized by its worker.
 // Returns ErrNotFound for unknown ids; canceling a terminal job is a
 // no-op.
 func (m *Manager) Cancel(id string) error {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok {
+	j := m.find(id)
+	if j == nil {
 		m.mu.Unlock()
 		return ErrNotFound
 	}
@@ -345,85 +312,22 @@ func (m *Manager) Cancel(id string) error {
 	case StatePending:
 		j.State = StateCanceled
 		j.FinishedNS = time.Now().UnixNano()
-		j.parsed = nil
+		j.parsed, j.Request.History = nil, ""
 		err := m.journal.cancel(id)
 		m.cCanceled.Inc()
-		m.notifyLocked(j)
+		m.publish(id)
 		m.mu.Unlock()
 		return err
 	case StateRunning:
 		j.cancelRequested = true
-		cancel := m.cancels[id]
+		cancel := j.cancel
 		err := m.journal.cancel(id)
 		m.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+		cancel()
 		return err
 	default:
 		m.mu.Unlock()
 		return nil
-	}
-}
-
-// Watch subscribes to a job's state changes: it returns the job's
-// current snapshot plus a channel carrying subsequent snapshots, closed
-// after the terminal one (immediately if the job is already terminal).
-// The stop function must be called to release the subscription.
-func (m *Manager) Watch(id string) (Job, <-chan Job, func(), error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	j, ok := m.jobs[id]
-	if !ok {
-		return Job{}, nil, nil, ErrNotFound
-	}
-	ch := make(chan Job, 16)
-	if j.State.Terminal() {
-		close(ch)
-		return *j, ch, func() {}, nil
-	}
-	m.watchers[id] = append(m.watchers[id], ch)
-	stop := func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		ws := m.watchers[id]
-		for i, w := range ws {
-			if w == ch {
-				if len(ws) == 1 {
-					// Last one out: a job whose long-polls ran out before
-					// it finished keeps no entry.
-					delete(m.watchers, id)
-				} else {
-					m.watchers[id] = append(ws[:i], ws[i+1:]...)
-				}
-				return
-			}
-		}
-	}
-	return *j, ch, stop, nil
-}
-
-// notifyLocked fans a job snapshot out to its watchers (never blocking:
-// a slow watcher misses intermediate frames, not the terminal one,
-// because terminal notification closes the channel after a buffered
-// send). Callers hold m.mu.
-func (m *Manager) notifyLocked(j *Job) {
-	ws := m.watchers[j.ID]
-	if len(ws) == 0 {
-		return
-	}
-	snap := *j
-	for _, ch := range ws {
-		select {
-		case ch <- snap:
-		default:
-		}
-	}
-	if j.State.Terminal() {
-		for _, ch := range ws {
-			close(ch)
-		}
-		delete(m.watchers, j.ID)
 	}
 }
 
@@ -434,12 +338,9 @@ func (m *Manager) Stopping() <-chan struct{} { return m.stopCtx.Done() }
 // Draining reports whether the manager has begun shutting down.
 func (m *Manager) Draining() bool { return m.draining.Load() }
 
-// QueueLen returns the number of queued (not yet running) jobs.
-func (m *Manager) QueueLen() int { return len(m.queue) }
-
 // Drain shuts the manager down gracefully: new submissions are refused
 // (ErrDraining), workers finish the jobs they are running now but pick
-// up no more, watchers of unfinished jobs are released, and the journal
+// up no more, subscribers of unfinished jobs are released, and the journal
 // — still holding every admitted-but-unfinished job — is closed for the
 // next instance to resume. ctx bounds the wait for in-flight jobs; on
 // expiry the remaining running jobs are cancelled and Drain waits for
@@ -456,26 +357,18 @@ func (m *Manager) Drain(ctx context.Context) int {
 		// Deadline: interrupt the running searches (they finalize as
 		// canceled/unknown via their contexts) and wait them out.
 		m.mu.Lock()
-		for _, cancel := range m.cancels {
-			cancel()
+		for _, j := range m.unended() {
+			if j.cancel != nil {
+				j.cancel()
+			}
 		}
 		m.mu.Unlock()
 		<-done
 	}
 
 	m.mu.Lock()
-	pending := 0
-	for _, j := range m.jobs {
-		if !j.State.Terminal() {
-			pending++
-		}
-	}
-	for id, ws := range m.watchers {
-		for _, ch := range ws {
-			close(ch)
-		}
-		delete(m.watchers, id)
-	}
+	pending := m.live()
+	m.release()
 	m.mu.Unlock()
 	if err := m.journal.close(); err != nil {
 		m.log.Warn("closing journal", "err", err)
@@ -506,8 +399,8 @@ func (m *Manager) worker() {
 // runJob executes one queued job end to end.
 func (m *Manager) runJob(id string) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok || j.State != StatePending {
+	j := m.find(id)
+	if j == nil || j.State != StatePending {
 		// Canceled while queued: already finalized.
 		m.mu.Unlock()
 		return
@@ -515,11 +408,12 @@ func (m *Manager) runJob(id string) {
 	j.State = StateRunning
 	j.StartedNS = time.Now().UnixNano()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(j.Request.TimeoutMS)*time.Millisecond)
-	m.cancels[id] = cancel
-	h := j.parsed
-	j.parsed = nil // retained jobs keep only the text; replay re-parses it
-	req := j.Request
-	m.notifyLocked(j)
+	j.cancel = cancel
+	h, req := j.parsed, j.Request
+	// From here the job keeps only its document: the journal holds the
+	// history a restart resumes.
+	j.parsed, j.Request.History = nil, ""
+	m.publish(id)
 	m.mu.Unlock()
 	m.gRunning.Add(1)
 	defer m.gRunning.Add(-1)
@@ -528,7 +422,7 @@ func (m *Manager) runJob(id string) {
 	verdictWord, detail, states, memoHits, runErr := m.decide(ctx, h, req)
 
 	m.mu.Lock()
-	delete(m.cancels, id)
+	j.cancel = nil
 	j.FinishedNS = time.Now().UnixNano()
 	if j.cancelRequested {
 		j.State = StateCanceled
@@ -545,8 +439,8 @@ func (m *Manager) runJob(id string) {
 		m.log.Warn("journaling completion", "job", id, "err", err)
 	}
 	m.cCompleted.Inc()
-	m.notifyLocked(j)
 	snap := *j
+	m.publish(id)
 	m.mu.Unlock()
 	m.log.Info("job finished", "job", id, "state", snap.State, "verdict", snap.Verdict, "states", snap.States)
 	if m.cfg.OnDone != nil {

@@ -14,6 +14,7 @@ import (
 
 	"calgo/internal/history"
 	"calgo/internal/obs"
+	"calgo/internal/spec"
 )
 
 // satHistory is a complete, CAL-satisfiable exchange of a and b.
@@ -98,6 +99,28 @@ func TestSubmitRejectsBadRequests(t *testing.T) {
 		if _, err := m.Submit("c", req); !errors.As(err, &reqErr) {
 			t.Errorf("%s: err = %v, want *RequestError", name, err)
 		}
+	}
+}
+
+// TestSpecByName pins the specification vocabulary calcheck and the job
+// and stream APIs share.
+func TestSpecByName(t *testing.T) {
+	known := []string{"exchanger", "elimarray", "stack", "central-stack", "dual-stack", "queue", "set", "pqueue", "syncqueue", "register", "snapshot"}
+	for _, name := range known {
+		sp, err := SpecByName(name, "O", 3)
+		if err != nil {
+			t.Errorf("SpecByName(%q): %v", name, err)
+			continue
+		}
+		if sp.Object() != "O" {
+			t.Errorf("SpecByName(%q).Object() = %q", name, sp.Object())
+		}
+	}
+	if _, err := SpecByName("nonsense", "O", 3); err == nil {
+		t.Error("unknown spec should fail")
+	}
+	if sp, err := SpecByName("snapshot", "O", 0); err != nil || sp.(spec.Snapshot).Threads != 4 {
+		t.Errorf("SpecByName(snapshot, threads 0) = %+v, %v; want 4 participants", sp, err)
 	}
 }
 
@@ -508,7 +531,7 @@ func TestJobsDropParsedHistory(t *testing.T) {
 	parsed := func(id string) history.History {
 		m.mu.Lock()
 		defer m.mu.Unlock()
-		return m.jobs[id].parsed
+		return m.find(id).parsed
 	}
 	done, err := m.Submit("c", Request{Spec: "exchanger", History: satHistory(1, 2)})
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,7 +23,8 @@ const (
 	// StreamOpen: the stream accepts events.
 	StreamOpen = "open"
 	// StreamClosed: terminal; end-of-stream checks have run and the
-	// verdict is final. Closed streams stay queryable until evicted.
+	// verdict is final. A closed stream keeps only its document, which
+	// stays queryable until evicted.
 	StreamClosed = "closed"
 )
 
@@ -59,7 +59,14 @@ type StreamDoc struct {
 	CreatedNS int64          `json:"created_unix_ns"`
 	ClosedNS  int64          `json:"closed_unix_ns,omitempty"`
 	Verdict   stream.Verdict `json:"verdict"`
+
+	// engine decides the stream and idle reaps it while it is open;
+	// closing drops both.
+	engine *stream.Stream
+	idle   *time.Timer
 }
+
+func (d StreamDoc) ended() bool { return d.State == StreamClosed }
 
 // StreamConfig configures a StreamManager. The zero value is usable.
 type StreamConfig struct {
@@ -84,9 +91,6 @@ type StreamConfig struct {
 	// long — the final verdict is computed and kept, the resident state
 	// released (default 5m; negative disables).
 	IdleTimeout time.Duration
-	// MaxClosed bounds retained closed streams, evicted oldest-first
-	// (default 64).
-	MaxClosed int
 	// Metrics receives the stream.* counters and gauges; one registry
 	// may be shared with the job manager (default: a private registry).
 	Metrics *obs.Metrics
@@ -99,30 +103,20 @@ type StreamConfig struct {
 
 // StreamManager owns the stream table: admission-controlled opens,
 // per-stream ingestion, verdict watching and idle reaping. All methods
-// are safe for concurrent use.
+// are safe for concurrent use; Get, List and Watch come from the
+// embedded table, whose mutex also guards nextID and every open
+// stream's engine.
 type StreamManager struct {
-	cfg     StreamConfig
-	log     *slog.Logger
-	limiter *limiter
-
-	mu       sync.Mutex
-	streams  map[string]*servedStream
-	order    []string
-	nClosed  int
+	table[StreamDoc]
+	cfg      StreamConfig
+	log      *slog.Logger
+	limiter  *limiter
 	nextID   int
-	stopped  bool
 	draining atomic.Bool
 	stopCh   chan struct{}
 
 	cOpened, cClosed, cShed, cRateLimited, cEvents *obs.Counter
 	gOpen                                          *obs.Gauge
-}
-
-type servedStream struct {
-	doc      StreamDoc
-	s        *stream.Stream
-	watchers []chan StreamDoc
-	idle     *time.Timer
 }
 
 // NewStreamManager builds the stream service.
@@ -148,9 +142,6 @@ func NewStreamManager(cfg StreamConfig) *StreamManager {
 	if cfg.IdleTimeout == 0 {
 		cfg.IdleTimeout = 5 * time.Minute
 	}
-	if cfg.MaxClosed <= 0 {
-		cfg.MaxClosed = 64
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewMetrics()
 	}
@@ -161,7 +152,6 @@ func NewStreamManager(cfg StreamConfig) *StreamManager {
 		cfg:          cfg,
 		log:          cfg.Logger,
 		limiter:      newLimiter(cfg.Rate, cfg.Burst),
-		streams:      make(map[string]*servedStream),
 		stopCh:       make(chan struct{}),
 		cOpened:      cfg.Metrics.Counter("streams.opened"),
 		cClosed:      cfg.Metrics.Counter("streams.closed"),
@@ -215,39 +205,38 @@ func (m *StreamManager) Open(client string, req StreamRequest) (StreamDoc, error
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.stopped {
+	// Drain sets draining before it takes the lock to close every open
+	// stream, so a stream added here is either refused or closed by it.
+	if m.draining.Load() {
 		s.Close()
 		return StreamDoc{}, ErrDraining
 	}
-	if len(m.streams)-m.nClosed >= m.cfg.MaxStreams {
+	if m.live() >= m.cfg.MaxStreams {
 		s.Close()
 		m.cShed.Inc()
 		return StreamDoc{}, &OverloadError{Cause: "open-stream bound reached", RetryAfter: time.Second}
 	}
 	m.nextID++
 	id := fmt.Sprintf("s%06d", m.nextID)
-	ss := &servedStream{
-		doc: StreamDoc{
-			Schema:    StreamSchema,
-			ID:        id,
-			Client:    client,
-			State:     StreamOpen,
-			Request:   req,
-			CreatedNS: time.Now().UnixNano(),
-			Verdict:   s.Verdict(),
-		},
-		s: s,
+	doc := StreamDoc{
+		Schema:    StreamSchema,
+		ID:        id,
+		Client:    client,
+		State:     StreamOpen,
+		Request:   req,
+		CreatedNS: time.Now().UnixNano(),
+		Verdict:   s.Verdict(),
+		engine:    s,
 	}
 	if m.cfg.IdleTimeout > 0 {
-		ss.idle = time.AfterFunc(m.cfg.IdleTimeout, func() { m.reapIdle(id) })
+		doc.idle = time.AfterFunc(m.cfg.IdleTimeout, func() { m.reapIdle(id) })
 	}
-	m.streams[id] = ss
-	m.order = append(m.order, id)
+	m.add(id, doc)
 	m.cOpened.Inc()
-	m.gOpen.Set(int64(len(m.streams) - m.nClosed))
+	m.gOpen.Set(int64(m.live()))
 	m.log.Info("stream opened", "id", id, "client", client,
 		"spec", req.Spec, "engine", req.Engine, "window", req.Window)
-	return ss.doc, nil
+	return doc, nil
 }
 
 // Feed parses one batch of events (the line-oriented history
@@ -264,33 +253,30 @@ func (m *StreamManager) Feed(id, batch string) (StreamDoc, error) {
 		return StreamDoc{}, &RequestError{Err: err}
 	}
 	m.mu.Lock()
-	ss, ok := m.streams[id]
-	if !ok {
-		m.mu.Unlock()
+	defer m.mu.Unlock()
+	d := m.find(id)
+	if d == nil {
 		return StreamDoc{}, ErrNotFound
 	}
-	if ss.doc.State != StreamOpen {
-		m.mu.Unlock()
-		return ss.doc, &RequestError{Err: errors.New("stream is closed")}
+	if d.State != StreamOpen {
+		return *d, &RequestError{Err: errors.New("stream is closed")}
 	}
-	if ss.idle != nil {
-		ss.idle.Reset(m.cfg.IdleTimeout)
+	if d.idle != nil {
+		d.idle.Reset(m.cfg.IdleTimeout)
 	}
 	var feedErr error
 	fed := 0
 	for _, ev := range h {
-		if err := ss.s.Feed(ev); err != nil {
+		if err := d.engine.Feed(ev); err != nil {
 			feedErr = &RequestError{Err: fmt.Errorf("event %d of batch: %w", fed, err)}
 			break
 		}
 		fed++
 	}
 	m.cEvents.Add(int64(fed))
-	ss.doc.Verdict = ss.s.Verdict()
-	doc := ss.doc
-	m.notifyLocked(ss)
-	m.mu.Unlock()
-	return doc, feedErr
+	d.Verdict = d.engine.Verdict()
+	m.publish(id)
+	return *d, feedErr
 }
 
 // Close runs the stream's end-of-stream checks and returns the final
@@ -298,66 +284,45 @@ func (m *StreamManager) Feed(id, batch string) (StreamDoc, error) {
 func (m *StreamManager) Close(id string) (StreamDoc, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ss, ok := m.streams[id]
-	if !ok {
+	d := m.find(id)
+	if d == nil {
 		return StreamDoc{}, ErrNotFound
 	}
-	return m.closeLocked(ss, "closed by client"), nil
+	return m.closeLocked(d, "closed by client"), nil
 }
 
-// closeLocked finalizes one stream: Close the checker, mark the doc
-// terminal, notify watchers, publish, and evict old closed docs.
-func (m *StreamManager) closeLocked(ss *servedStream, why string) StreamDoc {
-	if ss.doc.State != StreamOpen {
-		return ss.doc
+// closeLocked finalizes one stream: Close the checker, keep its final
+// verdict in the doc and drop the engine, notify subscribers and hand the
+// doc to OnClose.
+func (m *StreamManager) closeLocked(d *StreamDoc, why string) StreamDoc {
+	if d.State != StreamOpen {
+		return *d
 	}
-	if ss.idle != nil {
-		ss.idle.Stop()
+	if d.idle != nil {
+		d.idle.Stop()
 	}
-	ss.doc.Verdict = ss.s.Close()
-	ss.doc.State = StreamClosed
-	ss.doc.ClosedNS = time.Now().UnixNano()
-	m.nClosed++
+	d.Verdict = d.engine.Close()
+	d.State = StreamClosed
+	d.ClosedNS = time.Now().UnixNano()
+	d.engine, d.idle = nil, nil
+	doc := *d
+	m.publish(doc.ID)
 	m.cClosed.Inc()
-	m.gOpen.Set(int64(len(m.streams) - m.nClosed))
-	m.log.Info("stream closed", "id", ss.doc.ID, "why", why,
-		"verdict", ss.doc.Verdict.String(), "events", ss.doc.Verdict.Events)
-	m.notifyLocked(ss)
-	for _, ch := range ss.watchers {
-		close(ch)
-	}
-	ss.watchers = nil
+	m.gOpen.Set(int64(m.live()))
+	m.log.Info("stream closed", "id", doc.ID, "why", why,
+		"verdict", doc.Verdict.String(), "events", doc.Verdict.Events)
 	if m.cfg.OnClose != nil {
-		go m.cfg.OnClose(ss.doc)
+		go m.cfg.OnClose(doc)
 	}
-	m.evictClosedLocked()
-	return ss.doc
-}
-
-// evictClosedLocked drops the oldest closed streams past MaxClosed.
-func (m *StreamManager) evictClosedLocked() {
-	if m.nClosed <= m.cfg.MaxClosed {
-		return
-	}
-	keep := m.order[:0]
-	for _, id := range m.order {
-		ss := m.streams[id]
-		if m.nClosed > m.cfg.MaxClosed && ss.doc.State == StreamClosed {
-			delete(m.streams, id)
-			m.nClosed--
-			continue
-		}
-		keep = append(keep, id)
-	}
-	m.order = keep
+	return doc
 }
 
 // reapIdle closes a stream that outlived IdleTimeout without events.
 func (m *StreamManager) reapIdle(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ss, ok := m.streams[id]; ok {
-		m.closeLocked(ss, "idle timeout")
+	if d := m.find(id); d != nil {
+		m.closeLocked(d, "idle timeout")
 	}
 }
 
@@ -366,87 +331,17 @@ func (m *StreamManager) reapIdle(id string) {
 func (m *StreamManager) Cancel(id string) (StreamDoc, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ss, ok := m.streams[id]
-	if !ok {
+	d := m.find(id)
+	if d == nil {
 		return StreamDoc{}, ErrNotFound
 	}
-	ss.s.Cancel()
-	return m.closeLocked(ss, "canceled by client"), nil
+	if d.engine != nil {
+		d.engine.Cancel()
+	}
+	return m.closeLocked(d, "canceled by client"), nil
 }
 
-// Get returns one stream document.
-func (m *StreamManager) Get(id string) (StreamDoc, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ss, ok := m.streams[id]
-	if !ok {
-		return StreamDoc{}, false
-	}
-	ss.doc.Verdict = ss.s.Verdict()
-	return ss.doc, true
-}
-
-// List returns every known stream document, oldest first.
-func (m *StreamManager) List() []StreamDoc {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]StreamDoc, 0, len(m.order))
-	for _, id := range m.order {
-		ss := m.streams[id]
-		if ss.doc.State == StreamOpen {
-			ss.doc.Verdict = ss.s.Verdict()
-		}
-		out = append(out, ss.doc)
-	}
-	return out
-}
-
-// Watch returns the current document, a channel of subsequent frames
-// (one per ingested batch and one terminal frame; closed after the
-// terminal frame), and a stop function the caller must invoke.
-func (m *StreamManager) Watch(id string) (StreamDoc, <-chan StreamDoc, func(), error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ss, ok := m.streams[id]
-	if !ok {
-		return StreamDoc{}, nil, nil, ErrNotFound
-	}
-	if ss.doc.State == StreamOpen {
-		ss.doc.Verdict = ss.s.Verdict()
-	}
-	snap := ss.doc
-	ch := make(chan StreamDoc, 16)
-	if snap.State != StreamOpen {
-		close(ch)
-		return snap, ch, func() {}, nil
-	}
-	ss.watchers = append(ss.watchers, ch)
-	stop := func() {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		for i, w := range ss.watchers {
-			if w == ch {
-				ss.watchers = append(ss.watchers[:i], ss.watchers[i+1:]...)
-				return
-			}
-		}
-	}
-	return snap, ch, stop, nil
-}
-
-// notifyLocked delivers the current document to every watcher; slow
-// watchers lose intermediate frames, never the terminal one (the
-// channel close after closeLocked is the terminal signal).
-func (m *StreamManager) notifyLocked(ss *servedStream) {
-	for _, ch := range ss.watchers {
-		select {
-		case ch <- ss.doc:
-		default:
-		}
-	}
-}
-
-// Stopping is closed when Drain begins; SSE watchers use it to end
+// Stopping is closed when Drain begins; SSE watches use it to end
 // their streams with a drain event.
 func (m *StreamManager) Stopping() <-chan struct{} { return m.stopCh }
 
@@ -460,8 +355,7 @@ func (m *StreamManager) Drain() {
 	close(m.stopCh)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.stopped = true
-	for _, id := range m.order {
-		m.closeLocked(m.streams[id], "daemon draining")
+	for _, d := range m.unended() {
+		m.closeLocked(d, "daemon draining")
 	}
 }
