@@ -2,10 +2,13 @@
 # ci.sh — the repo's single verification gate (ROADMAP tier-1 and more):
 # formatting, vet, build, the default test suite, and a race-detector
 # pass. The extended chaos soak is tag-gated (make chaos) and not part of
-# this gate; the race pass uses -short to skip the exhaustive model
-# explorations, which dominate runtime even without the race detector.
-# Both race passes run at GOMAXPROCS=4, so the explorer's workers (and
-# the hooks they call) overlap even on a one-core host.
+# this gate; the race pass uses -short to skip the largest exhaustive
+# model explorations, which dominate runtime even without the race
+# detector. It still explores F1 and F2 at 1, 4 and GOMAXPROCS workers
+# (TestParallelEquivalenceF1/F2), whose successor states share their
+# parent's trace and history slices across workers. Both race passes run
+# at GOMAXPROCS=4, so the explorer's workers (and the hooks they call)
+# overlap even on a one-core host.
 set -eu
 
 echo "== gofmt =="

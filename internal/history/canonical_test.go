@@ -43,6 +43,56 @@ func TestFingerprintInvariantUnderThreadRenaming(t *testing.T) {
 	}
 }
 
+// TestFingerprintSeparatesObjectAndMethod pins that the fingerprint
+// encodes the object and the method as separate fields: object "a.b"
+// with method "c" and object "a" with method "b.c" render to the same
+// text line, but they are different operations.
+func TestFingerprintSeparatesObjectAndMethod(t *testing.T) {
+	a := History{Inv(1, "a.b", "c", Int(1)), Res(1, "a.b", "c", Bool(true))}
+	b := History{Inv(1, "a", "b.c", Int(1)), Res(1, "a", "b.c", Bool(true))}
+	if Format(a) != Format(b) {
+		t.Fatalf("the two histories should render alike:\n%s\n%s", Format(a), Format(b))
+	}
+	if Fingerprint(a) == Fingerprint(b) {
+		t.Error("object a.b method c and object a method b.c share a fingerprint")
+	}
+}
+
+// TestFingerprintMatchesCanonical pins that renaming on the fly hashes
+// the same thing as renaming first.
+func TestFingerprintMatchesCanonical(t *testing.T) {
+	h := fingerprintHistory(50, 5)
+	if Fingerprint(h) != Fingerprint(Canonical(h)) {
+		t.Error("Fingerprint(h) != Fingerprint(Canonical(h))")
+	}
+}
+
+// fingerprintHistory builds a complete history of n events over the
+// given number of threads, each thread exchanging in turn.
+func fingerprintHistory(n, threads int) History {
+	h := make(History, 0, n)
+	for i := 0; len(h) < n; i++ {
+		th := ThreadID(100 + i%threads)
+		h = append(h,
+			Inv(th, "E", "exchange", Int(int64(i))),
+			Res(th, "E", "exchange", Pair(false, int64(i))))
+	}
+	return h[:n]
+}
+
+// TestFingerprintAllocsIndependentOfLength pins that Fingerprint streams
+// the history into the hash: a 10,000-event history allocates exactly
+// as often as a 1,000-event one over the same threads, and at most 8
+// times.
+func TestFingerprintAllocsIndependentOfLength(t *testing.T) {
+	small, large := fingerprintHistory(1_000, 4), fingerprintHistory(10_000, 4)
+	a := testing.AllocsPerRun(20, func() { _ = Fingerprint(small) })
+	b := testing.AllocsPerRun(20, func() { _ = Fingerprint(large) })
+	if a != b || b > 8 {
+		t.Errorf("Fingerprint allocates %v times for 1,000 events and %v for 10,000; want equal and at most 8", a, b)
+	}
+}
+
 func TestParseFileLimitedBounds(t *testing.T) {
 	src := "# header\ninv t1 E.exchange 3\nres t1 E.exchange (true,4)\ninv t2 E.exchange 4\n"
 	if _, err := ParseFileLimited("h.txt", src, Limits{MaxEvents: 2}); err == nil {

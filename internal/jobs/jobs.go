@@ -115,6 +115,11 @@ type Job struct {
 	// pending; not serialized (the journal re-parses Request.History on
 	// replay).
 	parsed history.History
+	// cacheKey is the job's verdict-cache key, computed once — by Submit,
+	// or by the journal replay for a resumed job — and held, like parsed,
+	// only while the job is pending. The worker files the verdict under
+	// it without re-fingerprinting the history.
+	cacheKey string
 	// cancel interrupts the search of a running job.
 	cancel context.CancelFunc
 	// cancelRequested marks a running job whose context has been

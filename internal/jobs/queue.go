@@ -166,6 +166,7 @@ func New(cfg Config) (*Manager, error) {
 		j.State = StatePending
 		j.Resumed = true
 		j.parsed = h
+		j.cacheKey = cacheKey(h, j.Request)
 		m.add(j.ID, *j)
 		m.queue <- j.ID
 		m.cResumed.Inc()
@@ -268,7 +269,7 @@ func (m *Manager) Submit(client string, req Request) (Job, error) {
 	job := Job{
 		Schema: Schema, ID: jobID(m.nextID),
 		Client: client, State: StatePending, Request: req,
-		SubmittedNS: now, parsed: h,
+		SubmittedNS: now, parsed: h, cacheKey: key,
 	}
 	if err := m.journal.submit(&job); err != nil {
 		m.mu.Unlock()
@@ -312,7 +313,7 @@ func (m *Manager) Cancel(id string) error {
 	case StatePending:
 		j.State = StateCanceled
 		j.FinishedNS = time.Now().UnixNano()
-		j.parsed, j.Request.History = nil, ""
+		j.parsed, j.Request.History, j.cacheKey = nil, "", ""
 		err := m.journal.cancel(id)
 		m.cCanceled.Inc()
 		m.publish(id)
@@ -409,10 +410,10 @@ func (m *Manager) runJob(id string) {
 	j.StartedNS = time.Now().UnixNano()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Duration(j.Request.TimeoutMS)*time.Millisecond)
 	j.cancel = cancel
-	h, req := j.parsed, j.Request
+	h, req, key := j.parsed, j.Request, j.cacheKey
 	// From here the job keeps only its document: the journal holds the
 	// history a restart resumes.
-	j.parsed, j.Request.History = nil, ""
+	j.parsed, j.Request.History, j.cacheKey = nil, "", ""
 	m.publish(id)
 	m.mu.Unlock()
 	m.gRunning.Add(1)
@@ -432,7 +433,7 @@ func (m *Manager) runJob(id string) {
 		j.State = StateDone
 		j.Verdict, j.Detail, j.States, j.MemoHits = verdictWord, detail, states, memoHits
 		if runErr == nil && (verdictWord == "OK" || verdictWord == "VIOLATION") {
-			m.cache.put(cacheKey(h, req), verdict{Verdict: verdictWord, Detail: detail, States: states, MemoHits: memoHits})
+			m.cache.put(key, verdict{Verdict: verdictWord, Detail: detail, States: states, MemoHits: memoHits})
 		}
 	}
 	if err := m.journal.done(j); err != nil {

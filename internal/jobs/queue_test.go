@@ -410,6 +410,44 @@ func TestJournalCrashResume(t *testing.T) {
 	drain(t, m3)
 }
 
+// TestResumedJobFillsVerdictCache pins that the journal replay gives a
+// resumed job its cache key: once the resumed job ends OK, resubmitting
+// its history under renamed threads is answered from the cache.
+func TestResumedJobFillsVerdictCache(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cald.journal")
+	m1, release := blockingManager(t, Config{QueueDepth: 8, JournalPath: path})
+	first, err := m1.Submit("c", Request{Spec: "exchanger", History: satHistory(1, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, m1, first.ID) // worker blocked in OnDone from here on
+	pending, err := m1.Submit("c", Request{Spec: "exchanger", History: satHistory(10, 20)})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Crash: a second instance resumes the pending job from the journal.
+	m2, err := New(Config{Workers: 1, JournalPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := waitTerminal(t, m2, pending.ID); !j.Resumed || j.Verdict != "OK" {
+		t.Fatalf("resumed job = resumed %v verdict %q, want resumed OK", j.Resumed, j.Verdict)
+	}
+	renamed := strings.NewReplacer("t1", "t7", "t2", "t9").Replace(satHistory(10, 20))
+	again, err := m2.Submit("c", Request{Spec: "exchanger", History: renamed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Cached || again.Verdict != "OK" {
+		t.Errorf("resubmission of the resumed job's history = %+v, want a cached OK", again)
+	}
+	drain(t, m2)
+
+	close(release)
+	drain(t, m1)
+}
+
 // TestJournalSkipsCorruptLines pins torn-write tolerance: garbage lines
 // (a crash mid-append) contribute nothing and replay continues.
 func TestJournalSkipsCorruptLines(t *testing.T) {

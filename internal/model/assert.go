@@ -207,7 +207,9 @@ func (s *ExchangerState) outlineAt(t int) error {
 }
 
 // HT is implemented by model states that expose their interface history and
-// auxiliary trace for terminal verification.
+// auxiliary trace for terminal verification. Successor states share these
+// slices with their ancestors, so callers must not write their elements;
+// appending is safe, since each slice's capacity ends at its length.
 type HT interface {
 	History() history.History
 	AuxTrace() trace.Trace

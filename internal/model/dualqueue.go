@@ -1,10 +1,6 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"calgo/internal/history"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
@@ -120,29 +116,28 @@ func NewDualQueue(cfg DQConfig) *DQState {
 func (s *DQState) Object() history.ObjectID { return s.cfg.Object }
 
 // History implements HT.
-func (s *DQState) History() history.History { return s.Hist }
+func (s *DQState) History() history.History { return shared(s.Hist) }
 
 // AuxTrace implements HT.
-func (s *DQState) AuxTrace() trace.Trace { return s.Trace }
+func (s *DQState) AuxTrace() trace.Trace { return shared(s.Trace) }
 
 // Key implements sched.State.
 func (s *DQState) Key() string {
-	var b strings.Builder
+	k := newKey()
+	k = k.section(len(s.Threads))
 	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%d.%d.%d.%t.%d|", th.pc, th.op, th.round, th.head, th.tail, th.first, th.n, th.retOK, th.retV)
+		k = k.ints(th.pc, th.op, th.round, th.head, th.tail, th.first, th.n)
+		k = k.int64s(th.retV)
+		k = k.flags(th.retOK)
 	}
-	b.WriteString("h")
-	b.WriteString(strconv.Itoa(s.Head))
-	b.WriteString("t")
-	b.WriteString(strconv.Itoa(s.Tail))
+	k = k.ints(s.Head, s.Tail)
+	k = k.section(len(s.Nodes))
 	for _, n := range s.Nodes {
-		fmt.Fprintf(&b, ";%t.%d.%d.%d.%d.%t", n.IsRes, n.Tid, n.Data, n.Hole, n.Next, n.Fulfilled)
+		k = k.ints(int(n.Tid), n.Hole, n.Next)
+		k = k.int64s(n.Data)
+		k = k.flags(n.IsRes, n.Fulfilled)
 	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
+	return k.finish(s.Trace, s.Hist)
 }
 
 // Done implements sched.State.
@@ -155,6 +150,9 @@ func (s *DQState) Done() bool {
 	return true
 }
 
+// clone returns a successor ready for mutation: it copies what steps
+// write in place (the threads and the nodes) and shares the append-only
+// trace and history with s.
 func (s *DQState) clone() *DQState {
 	return &DQState{
 		cfg:     s.cfg,
@@ -162,8 +160,8 @@ func (s *DQState) clone() *DQState {
 		Nodes:   append([]dqNode(nil), s.Nodes...),
 		Head:    s.Head,
 		Tail:    s.Tail,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
+		Trace:   shared(s.Trace),
+		Hist:    shared(s.Hist),
 	}
 }
 

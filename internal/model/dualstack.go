@@ -1,10 +1,6 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"calgo/internal/history"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
@@ -101,27 +97,28 @@ func NewDualStack(cfg DSConfig) *DSState {
 func (s *DSState) Object() history.ObjectID { return s.cfg.Object }
 
 // History implements HT.
-func (s *DSState) History() history.History { return s.Hist }
+func (s *DSState) History() history.History { return shared(s.Hist) }
 
 // AuxTrace implements HT.
-func (s *DSState) AuxTrace() trace.Trace { return s.Trace }
+func (s *DSState) AuxTrace() trace.Trace { return shared(s.Trace) }
 
 // Key implements sched.State.
 func (s *DSState) Key() string {
-	var b strings.Builder
+	k := newKey()
+	k = k.section(len(s.Threads))
 	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%d.%t.%t.%d|", th.pc, th.op, th.round, th.h, th.n, th.pushDone, th.retOK, th.retV)
+		k = k.ints(th.pc, th.op, th.round, th.h, th.n)
+		k = k.int64s(th.retV)
+		k = k.flags(th.pushDone, th.retOK)
 	}
-	b.WriteString("top")
-	b.WriteString(strconv.Itoa(s.Top))
+	k = k.ints(s.Top)
+	k = k.section(len(s.Nodes))
 	for _, n := range s.Nodes {
-		fmt.Fprintf(&b, ";%t.%d.%d.%d.%d.%t", n.IsRes, n.Tid, n.Data, n.Hole, n.Next, n.Fulfilled)
+		k = k.ints(int(n.Tid), n.Hole, n.Next)
+		k = k.int64s(n.Data)
+		k = k.flags(n.IsRes, n.Fulfilled)
 	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
+	return k.finish(s.Trace, s.Hist)
 }
 
 // Done implements sched.State.
@@ -134,14 +131,17 @@ func (s *DSState) Done() bool {
 	return true
 }
 
+// clone returns a successor ready for mutation: it copies what steps
+// write in place (the threads and the nodes) and shares the append-only
+// trace and history with s.
 func (s *DSState) clone() *DSState {
 	return &DSState{
 		cfg:     s.cfg,
 		Threads: append([]dsThread(nil), s.Threads...),
 		Nodes:   append([]dsNode(nil), s.Nodes...),
 		Top:     s.Top,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
+		Trace:   shared(s.Trace),
+		Hist:    shared(s.Hist),
 	}
 }
 

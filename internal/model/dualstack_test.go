@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"calgo/internal/model"
-	"calgo/internal/rg"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
 )
@@ -31,9 +30,7 @@ func TestDualStackModelPushPop(t *testing.T) {
 		{model.Pop()},
 	}}, 2_000_000)
 	t.Logf("push||pop: %+v", stats)
-	if stats.Terminals == 0 {
-		t.Error("no terminal states")
-	}
+	pinStats(t, stats, 278, 352, 46)
 }
 
 func TestDualStackModelTwoPushersOnePopper(t *testing.T) {
@@ -43,6 +40,7 @@ func TestDualStackModelTwoPushersOnePopper(t *testing.T) {
 		{model.Pop()},
 	}}, 4_000_000)
 	t.Logf("2 push || pop: %+v", stats)
+	pinStats(t, stats, 50_502, 81_925, 6_746)
 }
 
 func TestDualStackModelTwoPoppers(t *testing.T) {
@@ -52,6 +50,7 @@ func TestDualStackModelTwoPoppers(t *testing.T) {
 		{model.Push(9)},
 	}}, 4_000_000)
 	t.Logf("2 pop || push: %+v", stats)
+	pinStats(t, stats, 142_345, 221_810, 21_222)
 }
 
 func TestDualStackModelRepeatedOps(t *testing.T) {
@@ -60,6 +59,7 @@ func TestDualStackModelRepeatedOps(t *testing.T) {
 		{model.Pop(), model.Push(2)},
 	}}, 4_000_000)
 	t.Logf("mixed 2x2: %+v", stats)
+	pinStats(t, stats, 16_530, 21_527, 2_432)
 }
 
 // TestDualStackModelOutcomeCoverage: fulfilments, cancellations and
@@ -101,6 +101,10 @@ func TestDualStackModelOutcomeCoverage(t *testing.T) {
 	}
 	t.Logf("outcomes: %d fulfilments, %d cancellations, %d ordinary pops",
 		fulfilments.Load(), cancels.Load(), ordinary.Load())
+	if fulfilments.Load() != 12 || cancels.Load() != 21 || ordinary.Load() != 13 {
+		t.Errorf("outcomes %d / %d / %d, want 12 fulfilments / 21 cancellations / 13 ordinary pops",
+			fulfilments.Load(), cancels.Load(), ordinary.Load())
+	}
 }
 
 func TestDualStackModelDefaults(t *testing.T) {
@@ -110,32 +114,5 @@ func TestDualStackModelDefaults(t *testing.T) {
 	}
 	if len(s.History()) != 0 || len(s.AuxTrace()) != 0 {
 		t.Error("initial state not empty")
-	}
-}
-
-// TestExchangerModelFourThreads is the deepest exploration in the suite
-// (≈2.5M states); skipped in -short mode.
-func TestExchangerModelFourThreads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("2.5M-state exploration skipped in -short mode")
-	}
-	init := model.NewExchanger(model.ExchangerConfig{Programs: [][]int64{{1}, {2}, {3}, {4}}})
-	stats, err := sched.Explore(context.Background(),
-		init,
-		sched.WithInvariant(func(st sched.State) error {
-			if err := model.InvariantJ(st); err != nil {
-				return err
-			}
-			return model.ProofOutline(st)
-		}),
-		sched.WithTransition(rg.Hook(true)),
-		sched.WithTerminal(model.VerifyCAL(spec.NewExchanger("E"), nil, true)),
-		sched.WithMaxStates(3_000_000))
-	if err != nil {
-		t.Fatalf("exploration failed: %v", err)
-	}
-	t.Logf("4 threads x 1 op: %+v", stats)
-	if stats.States < 2_000_000 {
-		t.Errorf("expected ≥2M states, explored %d", stats.States)
 	}
 }

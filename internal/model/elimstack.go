@@ -1,7 +1,6 @@
 package model
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -62,9 +61,20 @@ type esThread struct {
 	retV  int64
 }
 
+// esModel is an elimination-stack configuration together with the
+// subobject ids and step labels derived from it, built once so that no
+// step formats a string.
+type esModel struct {
+	ESConfig
+	stackID    history.ObjectID   // Object+".S"
+	arID       history.ObjectID   // Object+".AR"
+	slotIDs    []history.ObjectID // Object+".AR.E[k]"
+	slotLabels []string           // "slot[k]"
+}
+
 // ESState is one state of the elimination-stack model.
 type ESState struct {
-	cfg     *ESConfig
+	cfg     *esModel
 	Threads []esThread
 	Cells   []Cell
 	Top     int
@@ -90,7 +100,13 @@ func NewElimStack(cfg ESConfig) *ESState {
 	if cfg.Sentinel == 0 {
 		cfg.Sentinel = 1 << 60
 	}
-	st := &ESState{cfg: &cfg, Top: -1, G: make([]int, cfg.Slots)}
+	m := &esModel{ESConfig: cfg, stackID: cfg.Object + ".S", arID: cfg.Object + ".AR"}
+	for k := 0; k < cfg.Slots; k++ {
+		i := strconv.Itoa(k)
+		m.slotIDs = append(m.slotIDs, m.arID+history.ObjectID(".E["+i+"]"))
+		m.slotLabels = append(m.slotLabels, "slot["+i+"]")
+	}
+	st := &ESState{cfg: m, Top: -1, G: make([]int, cfg.Slots)}
 	for i := range st.G {
 		st.G[i] = -1
 	}
@@ -103,23 +119,17 @@ func NewElimStack(cfg ESConfig) *ESState {
 // Object returns the modelled elimination stack's object id.
 func (s *ESState) Object() history.ObjectID { return s.cfg.Object }
 
-func (s *ESState) stackID() history.ObjectID { return s.cfg.Object + ".S" }
-func (s *ESState) arID() history.ObjectID    { return s.cfg.Object + ".AR" }
-func (s *ESState) slotID(i int) history.ObjectID {
-	return history.ObjectID(fmt.Sprintf("%s.E[%d]", s.arID(), i))
-}
-
 // History implements HT.
-func (s *ESState) History() history.History { return s.Hist }
+func (s *ESState) History() history.History { return shared(s.Hist) }
 
 // AuxTrace implements HT.
-func (s *ESState) AuxTrace() trace.Trace { return s.Trace }
+func (s *ESState) AuxTrace() trace.Trace { return shared(s.Trace) }
 
 // Project is the composition F_ES ∘ F̂_AR over the model's raw trace: slot
 // exchanges are relabeled to AR, then stack and AR elements are mapped to
 // elimination-stack operations exactly as in §5. Pass it to VerifyCAL.
 func (s *ESState) Project(tr trace.Trace) trace.Trace {
-	esID, sID, arID := s.cfg.Object, s.stackID(), s.arID()
+	esID, sID, arID := s.cfg.Object, s.cfg.stackID, s.cfg.arID
 	var out trace.Trace
 	for _, el := range tr {
 		switch {
@@ -152,29 +162,27 @@ func (s *ESState) Project(tr trace.Trace) trace.Trace {
 
 // Key implements sched.State.
 func (s *ESState) Key() string {
-	var b strings.Builder
+	k := newKey()
+	k = k.section(len(s.Threads))
 	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%d.%d.%d.%d.%t.%d|",
-			th.pc, th.op, th.round, th.h, th.n, th.slot, th.xn, th.xcur, th.xs, th.retV)
+		k = k.ints(th.pc, th.op, th.round, th.h, th.n, th.slot, th.xn, th.xcur)
+		k = k.int64s(th.retV)
+		k = k.flags(th.xs)
 	}
-	b.WriteString("top")
-	b.WriteString(strconv.Itoa(s.Top))
+	k = k.ints(s.Top)
+	k = k.section(len(s.Cells))
 	for _, c := range s.Cells {
-		fmt.Fprintf(&b, ";%d.%d", c.Data, c.Next)
+		k = k.int64s(c.Data)
+		k = k.ints(c.Next)
 	}
-	b.WriteByte('g')
-	for _, g := range s.G {
-		b.WriteString(strconv.Itoa(g))
-		b.WriteByte(',')
-	}
+	k = k.section(len(s.G))
+	k = k.ints(s.G...)
+	k = k.section(len(s.Offers))
 	for _, o := range s.Offers {
-		fmt.Fprintf(&b, ";%d.%d.%d", o.Tid, o.Data, o.Hole)
+		k = k.ints(int(o.Tid), o.Hole)
+		k = k.int64s(o.Data)
 	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
+	return k.finish(s.Trace, s.Hist)
 }
 
 // Done implements sched.State. Halted threads do not count as done; the
@@ -189,16 +197,19 @@ func (s *ESState) Done() bool {
 	return true
 }
 
+// clone returns a successor ready for mutation: it copies what steps
+// write in place (the threads, g and the offers) and shares the
+// append-only cells, trace and history with s.
 func (s *ESState) clone() *ESState {
 	return &ESState{
 		cfg:     s.cfg,
 		Threads: append([]esThread(nil), s.Threads...),
-		Cells:   append([]Cell(nil), s.Cells...),
+		Cells:   shared(s.Cells),
 		Top:     s.Top,
 		G:       append([]int(nil), s.G...),
 		Offers:  append([]Offer(nil), s.Offers...),
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
+		Trace:   shared(s.Trace),
+		Hist:    shared(s.Hist),
 	}
 }
 
@@ -285,19 +296,19 @@ func (s *ESState) steps(t int) []sched.Succ {
 		nt := &c.Threads[t]
 		if s.Top == th.h {
 			c.Top = th.n
-			c.Trace = append(c.Trace, spec.PushElement(s.stackID(), id, op.V, true))
+			c.Trace = append(c.Trace, spec.PushElement(s.cfg.stackID, id, op.V, true))
 			nt.pc = epcRet
 			nt.retV = 0
 			return mk("S-PUSH", c)
 		}
-		c.Trace = append(c.Trace, spec.PushElement(s.stackID(), id, op.V, false))
+		c.Trace = append(c.Trace, spec.PushElement(s.cfg.stackID, id, op.V, false))
 		nt.pc = epcSlot
 		return mk("s-push-miss", c)
 	case epcPopRead:
 		c := s.clone()
 		nt := &c.Threads[t]
 		if s.Top == -1 {
-			c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, false, 0))
+			c.Trace = append(c.Trace, spec.PopElement(s.cfg.stackID, id, false, 0))
 			nt.pc = epcSlot
 			return mk("s-pop-empty", c)
 		}
@@ -310,12 +321,12 @@ func (s *ESState) steps(t int) []sched.Succ {
 		if s.Top == th.h {
 			c.Top = s.Cells[th.h].Next
 			v := s.Cells[th.h].Data
-			c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, true, v))
+			c.Trace = append(c.Trace, spec.PopElement(s.cfg.stackID, id, true, v))
 			nt.retV = v
 			nt.pc = epcRet
 			return mk("S-POP", c)
 		}
-		c.Trace = append(c.Trace, spec.PopElement(s.stackID(), id, false, 0))
+		c.Trace = append(c.Trace, spec.PopElement(s.cfg.stackID, id, false, 0))
 		nt.pc = epcSlot
 		return mk("s-pop-miss", c)
 	case epcSlot:
@@ -330,7 +341,7 @@ func (s *ESState) steps(t int) []sched.Succ {
 			nt.xcur = -1
 			nt.xs = false
 			nt.pc = epcExInit
-			out = append(out, sched.Succ{Thread: t, Label: fmt.Sprintf("slot[%d]", k), Next: c})
+			out = append(out, sched.Succ{Thread: t, Label: s.cfg.slotLabels[k], Next: c})
 		}
 		return out
 	case epcExInit:
@@ -347,7 +358,7 @@ func (s *ESState) steps(t int) []sched.Succ {
 		c := s.clone()
 		if s.Offers[th.xn].Hole == HoleNull {
 			c.Offers[th.xn].Hole = HoleFail
-			c.Trace = append(c.Trace, spec.FailElement(s.slotID(th.slot), id, s.Offers[th.xn].Data))
+			c.Trace = append(c.Trace, spec.FailElement(s.cfg.slotIDs[th.slot], id, s.Offers[th.xn].Data))
 			s.afterExchange(c, t, s.Offers[th.xn].Data)
 			return mk("E-PASS", c)
 		}
@@ -370,7 +381,7 @@ func (s *ESState) steps(t int) []sched.Succ {
 		if s.Offers[th.xcur].Hole == HoleNull {
 			c.Offers[th.xcur].Hole = th.xn
 			partner := s.Offers[th.xcur]
-			c.Trace = append(c.Trace, spec.SwapElement(s.slotID(th.slot), partner.Tid, partner.Data, id, s.exchangeArg(t)))
+			c.Trace = append(c.Trace, spec.SwapElement(s.cfg.slotIDs[th.slot], partner.Tid, partner.Data, id, s.exchangeArg(t)))
 			nt.xs = true
 			nt.pc = epcExClean
 			return mk("E-XCHG", c)
@@ -393,7 +404,7 @@ func (s *ESState) steps(t int) []sched.Succ {
 		return mk(label, c)
 	case epcExFail:
 		c := s.clone()
-		c.Trace = append(c.Trace, spec.FailElement(s.slotID(th.slot), id, s.exchangeArg(t)))
+		c.Trace = append(c.Trace, spec.FailElement(s.cfg.slotIDs[th.slot], id, s.exchangeArg(t)))
 		s.afterExchange(c, t, s.exchangeArg(t))
 		return mk("E-FAIL", c)
 	case epcRet:

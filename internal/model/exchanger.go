@@ -9,10 +9,6 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"calgo/internal/history"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
@@ -109,10 +105,10 @@ func NewExchanger(cfg ExchangerConfig) *ExchangerState {
 func (s *ExchangerState) Object() history.ObjectID { return s.cfg.Object }
 
 // History returns the interface history produced so far.
-func (s *ExchangerState) History() history.History { return s.Hist }
+func (s *ExchangerState) History() history.History { return shared(s.Hist) }
 
 // AuxTrace returns the recorded auxiliary CA-trace 𝒯.
-func (s *ExchangerState) AuxTrace() trace.Trace { return s.Trace }
+func (s *ExchangerState) AuxTrace() trace.Trace { return shared(s.Trace) }
 
 // tid maps a thread index to its ThreadID (1-based).
 func tid(t int) history.ThreadID { return history.ThreadID(t + 1) }
@@ -124,20 +120,20 @@ func (s *ExchangerState) arg(t int) int64 {
 
 // Key implements sched.State.
 func (s *ExchangerState) Key() string {
-	var b strings.Builder
+	k := newKey()
+	k = k.section(len(s.Threads))
 	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%t.%t.%d.%t|", th.pc, th.op, th.n, th.cur, th.s, th.retOK, th.retV, th.lateLog)
+		k = k.ints(th.pc, th.op, th.n, th.cur)
+		k = k.int64s(th.retV)
+		k = k.flags(th.s, th.retOK, th.lateLog)
 	}
-	b.WriteByte('g')
-	b.WriteString(strconv.Itoa(s.G))
+	k = k.ints(s.G)
+	k = k.section(len(s.Offers))
 	for _, o := range s.Offers {
-		fmt.Fprintf(&b, ";%d.%d.%d", o.Tid, o.Data, o.Hole)
+		k = k.ints(int(o.Tid), o.Hole)
+		k = k.int64s(o.Data)
 	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
+	return k.finish(s.Trace, s.Hist)
 }
 
 // Done implements sched.State.
@@ -150,17 +146,18 @@ func (s *ExchangerState) Done() bool {
 	return true
 }
 
-// clone returns a deep copy ready for mutation.
+// clone returns a successor ready for mutation: it copies what steps
+// write in place (the threads and the offers) and shares the
+// append-only trace and history with s.
 func (s *ExchangerState) clone() *ExchangerState {
-	c := &ExchangerState{
+	return &ExchangerState{
 		cfg:     s.cfg,
 		Threads: append([]exchThread(nil), s.Threads...),
 		Offers:  append([]Offer(nil), s.Offers...),
 		G:       s.G,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
+		Trace:   shared(s.Trace),
+		Hist:    shared(s.Hist),
 	}
-	return c
 }
 
 // viewLen counts the CA-elements of 𝒯 mentioning thread id — |T_E|tid|.

@@ -37,26 +37,60 @@ func explore(t *testing.T, cfg model.ExchangerConfig) sched.Stats {
 	return stats
 }
 
+// pinStats fails the test unless an exploration reached exactly the
+// given counts. Each model test pins the counts the explorer has always
+// reported for its configuration, so a state key that merged two states
+// or split one changes them and fails here.
+func pinStats(t *testing.T, got sched.Stats, states, transitions, terminals int) {
+	t.Helper()
+	if got.States != states || got.Transitions != transitions || got.Terminals != terminals {
+		t.Errorf("explored %d states / %d transitions / %d terminals, want %d / %d / %d",
+			got.States, got.Transitions, got.Terminals, states, transitions, terminals)
+	}
+}
+
 func TestExploreTwoThreads(t *testing.T) {
 	stats := explore(t, model.ExchangerConfig{Programs: [][]int64{{3}, {4}}})
-	if stats.Terminals == 0 || stats.States < 20 {
-		t.Errorf("suspiciously small exploration: %+v", stats)
-	}
 	t.Logf("2 threads x 1 op: %+v", stats)
+	pinStats(t, stats, 137, 180, 18)
 }
 
 func TestExploreFig3Program(t *testing.T) {
 	// The paper's program P: exchange(3) || exchange(4) || exchange(7).
 	stats := explore(t, model.ExchangerConfig{Programs: [][]int64{{3}, {4}, {7}}})
-	if stats.Terminals == 0 {
-		t.Error("no terminal states")
-	}
 	t.Logf("Fig 3 program: %+v", stats)
+	pinStats(t, stats, 12_223, 20_424, 1_446)
 }
 
 func TestExploreRepeatedOps(t *testing.T) {
 	stats := explore(t, model.ExchangerConfig{Programs: [][]int64{{1, 2}, {3, 4}}})
 	t.Logf("2 threads x 2 ops: %+v", stats)
+	pinStats(t, stats, 6_569, 8_844, 742)
+}
+
+// TestExchangerModelFourThreads is the deepest exploration in the suite
+// (2.5M states); skipped in -short mode.
+func TestExchangerModelFourThreads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2.5M-state exploration skipped in -short mode")
+	}
+	init := model.NewExchanger(model.ExchangerConfig{Programs: [][]int64{{1}, {2}, {3}, {4}}})
+	stats, err := sched.Explore(context.Background(),
+		init,
+		sched.WithInvariant(func(st sched.State) error {
+			if err := model.InvariantJ(st); err != nil {
+				return err
+			}
+			return model.ProofOutline(st)
+		}),
+		sched.WithTransition(rg.Hook(true)),
+		sched.WithTerminal(model.VerifyCAL(spec.NewExchanger("E"), nil, true)),
+		sched.WithMaxStates(3_000_000))
+	if err != nil {
+		t.Fatalf("exploration failed: %v", err)
+	}
+	t.Logf("4 threads x 1 op: %+v", stats)
+	pinStats(t, stats, 2_556_497, 4_812_976, 277_656)
 }
 
 func TestExploreSingleThread(t *testing.T) {
@@ -78,9 +112,7 @@ func TestExploreSingleThread(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exploration failed: %v", err)
 	}
-	if stats.Terminals != 1 {
-		t.Errorf("deterministic single-thread run has %d terminals", stats.Terminals)
-	}
+	pinStats(t, stats, 12, 11, 1)
 }
 
 // TestExploreFindsCanonicalOutcomes checks that across all interleavings
@@ -116,6 +148,9 @@ func TestExploreFindsCanonicalOutcomes(t *testing.T) {
 		t.Error("no execution failed all exchanges")
 	}
 	t.Logf("terminal outcomes: %d with swap, %d all-fail", swaps.Load(), allFail.Load())
+	if swaps.Load() != 528 || allFail.Load() != 918 {
+		t.Errorf("terminal outcomes %d with swap / %d all-fail, want 528 / 918", swaps.Load(), allFail.Load())
+	}
 }
 
 // TestBugsAreCaught demonstrates the soundness of the verification battery:

@@ -79,11 +79,9 @@ func TestParallelEquivalenceF1(t *testing.T) {
 }
 
 // TestParallelEquivalenceF2 is the same contract on the 61,851-state F2
-// model; skipped under -short because each run explores the full graph.
+// model. It also runs under -short, so the race-detector pass explores
+// F2 with workers whose states share trace and history prefixes.
 func TestParallelEquivalenceF2(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping three full F2 explorations in -short mode")
-	}
 	want := exploreF2(t, 1)
 	if want.States != 61_851 || want.Transitions != 102_532 || want.Terminals != 7_096 {
 		t.Errorf("F2 sequential stats drifted: %+v", want)

@@ -1,10 +1,8 @@
 package model
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"calgo/internal/history"
 	"calgo/internal/sched"
@@ -43,9 +41,16 @@ type isThread struct {
 	retCard int
 }
 
+// isModel is an immediate-snapshot configuration together with its step
+// labels, built once so that no step formats a string.
+type isModel struct {
+	ISConfig
+	setLevel []string // setLevel[lev] is "set-level[lev]"
+}
+
 // ISState is one state of the immediate-snapshot model.
 type ISState struct {
-	cfg     *ISConfig
+	cfg     *isModel
 	Threads []isThread
 	Levels  []int
 	Trace   trace.Trace // derived blocks appended at return, in return order
@@ -60,7 +65,11 @@ func NewSnapshot(cfg ISConfig) *ISState {
 		cfg.Object = "IS"
 	}
 	n := len(cfg.Values)
-	st := &ISState{cfg: &cfg, Levels: make([]int, n)}
+	m := &isModel{ISConfig: cfg}
+	for lev := 0; lev <= n; lev++ {
+		m.setLevel = append(m.setLevel, "set-level["+strconv.Itoa(lev)+"]")
+	}
+	st := &ISState{cfg: m, Levels: make([]int, n)}
 	for i := range st.Levels {
 		st.Levels[i] = n + 1
 	}
@@ -74,11 +83,11 @@ func NewSnapshot(cfg ISConfig) *ISState {
 func (s *ISState) Object() history.ObjectID { return s.cfg.Object }
 
 // History implements HT.
-func (s *ISState) History() history.History { return s.Hist }
+func (s *ISState) History() history.History { return shared(s.Hist) }
 
 // AuxTrace returns the trace of return-ordered operations; use Project to
 // group them into blocks by cardinality before checking the spec.
-func (s *ISState) AuxTrace() trace.Trace { return s.Trace }
+func (s *ISState) AuxTrace() trace.Trace { return shared(s.Trace) }
 
 // Project groups the return-ordered singleton operations into blocks by
 // view cardinality, ordered by cardinality — the quiescent derivation of
@@ -110,19 +119,14 @@ func (s *ISState) Project(tr trace.Trace) trace.Trace {
 
 // Key implements sched.State.
 func (s *ISState) Key() string {
-	var b strings.Builder
+	k := newKey()
+	k = k.section(len(s.Threads))
 	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%d|", th.pc, th.lev, th.scanIdx, th.members, th.retCard)
+		k = k.ints(th.pc, th.lev, th.scanIdx, th.members, th.retCard)
 	}
-	for _, l := range s.Levels {
-		b.WriteString(strconv.Itoa(l))
-		b.WriteByte(',')
-	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
+	k = k.section(len(s.Levels))
+	k = k.ints(s.Levels...)
+	return k.finish(s.Trace, s.Hist)
 }
 
 // Done implements sched.State.
@@ -135,13 +139,16 @@ func (s *ISState) Done() bool {
 	return true
 }
 
+// clone returns a successor ready for mutation: it copies what steps
+// write in place (the threads and the levels) and shares the
+// append-only trace and history with s.
 func (s *ISState) clone() *ISState {
 	return &ISState{
 		cfg:     s.cfg,
 		Threads: append([]isThread(nil), s.Threads...),
 		Levels:  append([]int(nil), s.Levels...),
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
+		Trace:   shared(s.Trace),
+		Hist:    shared(s.Hist),
 	}
 }
 
@@ -182,7 +189,7 @@ func (s *ISState) step(t int) (sched.Succ, bool) {
 		nt.scanIdx = 0
 		nt.members = 0
 		nt.pc = ipcScan
-		return mk(fmt.Sprintf("set-level[%d]", th.lev), c)
+		return mk(s.cfg.setLevel[th.lev], c)
 	case ipcScan:
 		// Read level[scanIdx] — one register read per step.
 		c := s.clone()

@@ -26,14 +26,13 @@ func exploreIS(t *testing.T, values []int64, maxStates int) sched.Stats {
 func TestSnapshotModelTwoParticipants(t *testing.T) {
 	stats := exploreIS(t, []int64{10, 20}, 1_000_000)
 	t.Logf("n=2: %+v", stats)
-	if stats.Terminals == 0 {
-		t.Error("no terminal states")
-	}
+	pinStats(t, stats, 277, 452, 14)
 }
 
 func TestSnapshotModelThreeParticipants(t *testing.T) {
 	stats := exploreIS(t, []int64{10, 20, 30}, 4_000_000)
 	t.Logf("n=3: %+v", stats)
+	pinStats(t, stats, 66_760, 169_681, 666)
 }
 
 // TestSnapshotModelBlockSizes: across all interleavings of n=3, every
@@ -66,6 +65,9 @@ func TestSnapshotModelBlockSizes(t *testing.T) {
 		}
 	}
 	t.Logf("block shapes: %v", shapes)
+	if shapes["111"] != 342 || shapes["12"] != 144 || shapes["21"] != 144 || shapes["3"] != 36 || len(shapes) != 4 {
+		t.Errorf("block shapes %v, want map[111:342 12:144 21:144 3:36]", shapes)
+	}
 }
 
 func TestSnapshotModelAccessors(t *testing.T) {

@@ -1,10 +1,6 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"calgo/internal/history"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
@@ -87,27 +83,27 @@ func NewStack(cfg StackConfig) *StackState {
 func (s *StackState) Object() history.ObjectID { return s.cfg.Object }
 
 // History implements HT.
-func (s *StackState) History() history.History { return s.Hist }
+func (s *StackState) History() history.History { return shared(s.Hist) }
 
 // AuxTrace implements HT.
-func (s *StackState) AuxTrace() trace.Trace { return s.Trace }
+func (s *StackState) AuxTrace() trace.Trace { return shared(s.Trace) }
 
 // Key implements sched.State.
 func (s *StackState) Key() string {
-	var b strings.Builder
+	k := newKey()
+	k = k.section(len(s.Threads))
 	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%t.%d|", th.pc, th.op, th.h, th.n, th.retOK, th.retV)
+		k = k.ints(th.pc, th.op, th.h, th.n)
+		k = k.int64s(th.retV)
+		k = k.flags(th.retOK)
 	}
-	b.WriteString("top")
-	b.WriteString(strconv.Itoa(s.Top))
+	k = k.ints(s.Top)
+	k = k.section(len(s.Cells))
 	for _, c := range s.Cells {
-		fmt.Fprintf(&b, ";%d.%d", c.Data, c.Next)
+		k = k.int64s(c.Data)
+		k = k.ints(c.Next)
 	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
+	return k.finish(s.Trace, s.Hist)
 }
 
 // Done implements sched.State.
@@ -120,14 +116,17 @@ func (s *StackState) Done() bool {
 	return true
 }
 
+// clone returns a successor ready for mutation: it copies the threads,
+// which steps write in place, and shares the append-only cells, trace
+// and history with s.
 func (s *StackState) clone() *StackState {
 	return &StackState{
 		cfg:     s.cfg,
 		Threads: append([]stackThread(nil), s.Threads...),
-		Cells:   append([]Cell(nil), s.Cells...),
+		Cells:   shared(s.Cells),
 		Top:     s.Top,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
+		Trace:   shared(s.Trace),
+		Hist:    shared(s.Hist),
 	}
 }
 

@@ -31,9 +31,7 @@ func TestStackModelTwoPushers(t *testing.T) {
 		{model.Push(2)},
 	}})
 	t.Logf("2 pushers: %+v", stats)
-	if stats.Terminals == 0 {
-		t.Error("no terminal states")
-	}
+	pinStats(t, stats, 119, 138, 26)
 }
 
 func TestStackModelPushPop(t *testing.T) {
@@ -42,6 +40,7 @@ func TestStackModelPushPop(t *testing.T) {
 		{model.Push(2), model.Pop()},
 	}})
 	t.Logf("push+pop x2: %+v", stats)
+	pinStats(t, stats, 4_091, 5_134, 670)
 }
 
 func TestStackModelPopEmpty(t *testing.T) {
@@ -51,6 +50,7 @@ func TestStackModelPopEmpty(t *testing.T) {
 		{model.Pop()},
 	}})
 	t.Logf("racing pops over one push: %+v", stats)
+	pinStats(t, stats, 1_853, 2_558, 342)
 }
 
 // TestStackModelContentionObserved checks that the model actually produces
@@ -81,6 +81,9 @@ func TestStackModelContentionObserved(t *testing.T) {
 		t.Error("no interleaving produced a contended push")
 	}
 	t.Logf("contended pushes across terminals: %d", misses.Load())
+	if misses.Load() != 16 {
+		t.Errorf("%d contended pushes across terminals, want 16", misses.Load())
+	}
 }
 
 func exploreES(t *testing.T, cfg model.ESConfig, maxStates int) sched.Stats {
@@ -107,9 +110,7 @@ func TestElimStackModelPushPopPair(t *testing.T) {
 		},
 	}, 2_000_000)
 	t.Logf("push||pop, K=1, R=2: %+v", stats)
-	if stats.Terminals == 0 {
-		t.Error("no terminal states")
-	}
+	pinStats(t, stats, 167, 245, 17)
 }
 
 func TestElimStackModelTwoPushersOnePopper(t *testing.T) {
@@ -123,6 +124,7 @@ func TestElimStackModelTwoPushersOnePopper(t *testing.T) {
 		},
 	}, 4_000_000)
 	t.Logf("2 push || pop, K=1, R=2: %+v", stats)
+	pinStats(t, stats, 61_851, 102_532, 7_096)
 }
 
 func TestElimStackModelTwoSlots(t *testing.T) {
@@ -135,6 +137,7 @@ func TestElimStackModelTwoSlots(t *testing.T) {
 		},
 	}, 2_000_000)
 	t.Logf("push||pop, K=2, R=2: %+v", stats)
+	pinStats(t, stats, 355, 541, 37)
 }
 
 // TestElimStackEliminationObserved verifies that some interleaving really
@@ -178,6 +181,9 @@ func TestElimStackEliminationObserved(t *testing.T) {
 		t.Error("no interleaving eliminated the pair through the exchanger")
 	}
 	t.Logf("eliminating terminals: %d", eliminations.Load())
+	if eliminations.Load() != 576 {
+		t.Errorf("%d eliminating terminals, want 576", eliminations.Load())
+	}
 }
 
 // TestElimStackBoundedRetryHalts checks that the retry bound actually cuts
@@ -209,6 +215,7 @@ func TestElimStackBoundedRetryHalts(t *testing.T) {
 		t.Error("lone popper should halt at the retry bound")
 	}
 	t.Logf("halted terminals: %d of %d", halted.Load(), stats.Terminals)
+	pinStats(t, stats, 6, 5, 1)
 }
 
 func TestStackModelDefaults(t *testing.T) {

@@ -1,10 +1,6 @@
 package model
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-
 	"calgo/internal/history"
 	"calgo/internal/sched"
 	"calgo/internal/spec"
@@ -94,27 +90,28 @@ func NewSyncQueue(cfg SQConfig) *SQState {
 func (s *SQState) Object() history.ObjectID { return s.cfg.Object }
 
 // History implements HT.
-func (s *SQState) History() history.History { return s.Hist }
+func (s *SQState) History() history.History { return shared(s.Hist) }
 
 // AuxTrace implements HT.
-func (s *SQState) AuxTrace() trace.Trace { return s.Trace }
+func (s *SQState) AuxTrace() trace.Trace { return shared(s.Trace) }
 
 // Key implements sched.State.
 func (s *SQState) Key() string {
-	var b strings.Builder
+	k := newKey()
+	k = k.section(len(s.Threads))
 	for _, th := range s.Threads {
-		fmt.Fprintf(&b, "%d.%d.%d.%d.%t.%t.%d|", th.pc, th.op, th.n, th.cur, th.matched, th.retOK, th.retV)
+		k = k.ints(th.pc, th.op, th.n, th.cur)
+		k = k.int64s(th.retV)
+		k = k.flags(th.matched, th.retOK)
 	}
-	b.WriteByte('g')
-	b.WriteString(strconv.Itoa(s.G))
+	k = k.ints(s.G)
+	k = k.section(len(s.Offers))
 	for _, o := range s.Offers {
-		fmt.Fprintf(&b, ";%t.%d.%d.%d", o.IsPut, o.Tid, o.Data, o.Hole)
+		k = k.ints(int(o.Tid), o.Hole)
+		k = k.int64s(o.Data)
+		k = k.flags(o.IsPut)
 	}
-	b.WriteByte('#')
-	b.WriteString(s.Trace.Key())
-	b.WriteByte('#')
-	b.WriteString(history.Format(s.Hist))
-	return b.String()
+	return k.finish(s.Trace, s.Hist)
 }
 
 // Done implements sched.State.
@@ -127,14 +124,17 @@ func (s *SQState) Done() bool {
 	return true
 }
 
+// clone returns a successor ready for mutation: it copies what steps
+// write in place (the threads and the offers) and shares the
+// append-only trace and history with s.
 func (s *SQState) clone() *SQState {
 	return &SQState{
 		cfg:     s.cfg,
 		Threads: append([]sqThread(nil), s.Threads...),
 		Offers:  append([]sqOffer(nil), s.Offers...),
 		G:       s.G,
-		Trace:   append(trace.Trace(nil), s.Trace...),
-		Hist:    append(history.History(nil), s.Hist...),
+		Trace:   shared(s.Trace),
+		Hist:    shared(s.Hist),
 	}
 }
 

@@ -29,9 +29,7 @@ func TestSyncQueueModelPutTake(t *testing.T) {
 		{model.Take()},
 	}})
 	t.Logf("put||take: %+v", stats)
-	if stats.Terminals == 0 {
-		t.Error("no terminal states")
-	}
+	pinStats(t, stats, 137, 180, 18)
 }
 
 func TestSyncQueueModelThreeWay(t *testing.T) {
@@ -41,6 +39,7 @@ func TestSyncQueueModelThreeWay(t *testing.T) {
 		{model.Take()},
 	}})
 	t.Logf("put||put||take: %+v", stats)
+	pinStats(t, stats, 11_925, 19_504, 1_462)
 }
 
 func TestSyncQueueModelRepeated(t *testing.T) {
@@ -49,6 +48,7 @@ func TestSyncQueueModelRepeated(t *testing.T) {
 		{model.Take(), model.Take()},
 	}})
 	t.Logf("2x(put)||2x(take): %+v", stats)
+	pinStats(t, stats, 6_377, 8_522, 742)
 }
 
 // TestSyncQueueModelOutcomes: both hand-off and all-fail executions occur,
@@ -86,6 +86,9 @@ func TestSyncQueueModelOutcomes(t *testing.T) {
 		t.Error("no execution failed both attempts")
 	}
 	t.Logf("terminals: %d hand-off, %d all-fail", handOffs.Load(), allFail.Load())
+	if handOffs.Load() != 8 || allFail.Load() != 10 {
+		t.Errorf("terminals %d hand-off / %d all-fail, want 8 / 10", handOffs.Load(), allFail.Load())
+	}
 }
 
 // TestSyncQueueModelSameKindNeverPair: two puts can never hand off to each

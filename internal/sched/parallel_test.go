@@ -127,9 +127,11 @@ func TestVisitedSetClaimOnce(t *testing.T) {
 // TestVisitedSetShardSpread sanity-checks that the shard hash does not
 // degenerate: sequential keys must land in more than one shard.
 func TestVisitedSetShardSpread(t *testing.T) {
+	var v visitedSet
+	v.init()
 	used := make(map[uint64]bool)
 	for i := 0; i < 1000; i++ {
-		used[fnv64(fmt.Sprintf("state-%d", i))%visitedShards] = true
+		used[v.shardOf(fmt.Sprintf("state-%d", i))] = true
 	}
 	if len(used) < visitedShards/2 {
 		t.Errorf("1000 keys hit only %d of %d shards", len(used), visitedShards)

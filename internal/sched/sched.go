@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -44,7 +45,10 @@ import (
 // makes states safe to hand across exploration workers.
 type State interface {
 	// Key is a canonical encoding of the state; two states are identified
-	// iff their keys are equal.
+	// iff their keys are equal. It is a byte string for the visited set,
+	// not display text: the models in calgo/internal/model encode their
+	// fields in an exact binary form, and nothing identifies states by a
+	// hash alone.
 	Key() string
 	// Successors enumerates every atomic step any thread can take.
 	Successors() []Succ
@@ -265,19 +269,10 @@ func (n *node) schedule() []Step {
 // plausible worker count.
 const visitedShards = 64
 
-// fnv64 is FNV-1a over the key string; allocation-free.
-func fnv64(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // visitedSet is a sharded string set. Claim is the only operation:
 // insert-if-absent, reporting whether the caller won the insertion.
 type visitedSet struct {
+	seed   maphash.Seed // picks a key's shard; the shard's map holds the key itself
 	shards [visitedShards]struct {
 		mu sync.Mutex
 		m  map[string]struct{}
@@ -286,14 +281,20 @@ type visitedSet struct {
 }
 
 func (v *visitedSet) init() {
+	v.seed = maphash.MakeSeed()
 	for i := range v.shards {
 		v.shards[i].m = make(map[string]struct{})
 	}
 }
 
+// shardOf returns the index of the shard that holds key.
+func (v *visitedSet) shardOf(key string) uint64 {
+	return maphash.String(v.seed, key) & (visitedShards - 1)
+}
+
 // claim records key as visited and reports whether it was new.
 func (v *visitedSet) claim(key string) bool {
-	sh := &v.shards[fnv64(key)&(visitedShards-1)]
+	sh := &v.shards[v.shardOf(key)]
 	sh.mu.Lock()
 	_, seen := sh.m[key]
 	if !seen {

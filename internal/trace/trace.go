@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -156,9 +157,23 @@ func (e Element) String() string {
 	return string(e.Object) + ".{" + strings.Join(parts, ", ") + "}"
 }
 
-// Key returns a canonical string encoding of the element, suitable for use
-// as a map key.
-func (e Element) Key() string { return e.String() }
+// AppendElement appends an exact, self-delimiting binary encoding of e
+// to b: its object, its operation count, and each operation's thread,
+// method, argument and result in the history package's encodings.
+// Operations are encoded without their object, which every operation of
+// a canonical element shares with it. Canonical elements are equal iff
+// their encodings are.
+func AppendElement(b []byte, e Element) []byte {
+	b = history.AppendString(b, string(e.Object))
+	b = binary.AppendUvarint(b, uint64(len(e.Ops)))
+	for _, op := range e.Ops {
+		b = binary.AppendVarint(b, int64(op.Thread))
+		b = history.AppendString(b, string(op.Method))
+		b = history.AppendValue(b, op.Arg)
+		b = history.AppendValue(b, op.Ret)
+	}
+	return b
+}
 
 // Trace is a CA-trace: a sequence of CA-elements (Definition 4).
 type Trace []Element
@@ -220,6 +235,3 @@ func (tr Trace) String() string {
 	}
 	return strings.Join(parts, " · ")
 }
-
-// Key returns a canonical string encoding of the trace.
-func (tr Trace) Key() string { return tr.String() }

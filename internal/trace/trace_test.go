@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -67,8 +68,33 @@ func TestElementCanonicalOrder(t *testing.T) {
 	if !a.Equal(b) {
 		t.Error("element equality must be order-insensitive")
 	}
-	if a.Key() != b.Key() {
-		t.Error("canonical keys must match")
+	if !bytes.Equal(AppendElement(nil, a), AppendElement(nil, b)) {
+		t.Error("canonical encodings must match")
+	}
+}
+
+// TestAppendElementExact pins that distinct canonical elements encode
+// differently, including ones whose String renderings agree.
+func TestAppendElementExact(t *testing.T) {
+	elems := []Element{
+		Singleton(exOp(1, 3, true, 4)),
+		Singleton(exOp(2, 3, true, 4)),
+		Singleton(exOp(1, 4, true, 4)),
+		Singleton(exOp(1, 3, false, 4)),
+		Singleton(exOp(1, 3, true, 5)),
+		MustElement(exOp(1, 3, true, 4), exOp(2, 4, true, 3)),
+		Singleton(Operation{Thread: 1, Object: objS, Method: exch, Arg: history.Int(3), Ret: history.Pair(true, 4)}),
+		Singleton(Operation{Thread: 1, Object: objE, Method: "push", Arg: history.Int(3), Ret: history.Bool(true)}),
+		Singleton(Operation{Thread: 1, Object: "a.b", Method: "c", Arg: history.Unit(), Ret: history.Unit()}),
+		Singleton(Operation{Thread: 1, Object: "a", Method: "b.c", Arg: history.Unit(), Ret: history.Unit()}),
+	}
+	seen := map[string]Element{}
+	for _, e := range elems {
+		k := string(AppendElement(nil, e))
+		if prev, dup := seen[k]; dup {
+			t.Errorf("%v and %v share an encoding", prev, e)
+		}
+		seen[k] = e
 	}
 }
 
