@@ -204,7 +204,7 @@ grep -q "^OK" "$explain_dir/mon-sat.out" || {
 }
 go run ./cmd/calcheck -spec stack -object S -engine auto \
     -metrics-json "$explain_dir/mon-stack-sat.json" examples/histories/stack-lifo.txt >/dev/null
-for mon_case in "queue Q queue-violation" "stack S stack-violation"; do
+for mon_case in "queue Q queue-violation Q3" "stack S stack-violation S4"; do
     set -- $mon_case
     mon_json="$explain_dir/mon-$1-vio.json"
     if go run ./cmd/calcheck -spec "$1" -object "$2" -engine auto \
@@ -212,8 +212,8 @@ for mon_case in "queue Q queue-violation" "stack S stack-violation"; do
         echo "$3.txt under -engine auto should exit 1" >&2
         exit 1
     fi
-    grep -q "monitor:" "$explain_dir/mon-vio.out" || {
-        echo "$3.txt violation was not attributed to the monitor:" >&2
+    grep -q "monitor: $4" "$explain_dir/mon-vio.out" || {
+        echo "$3.txt violation was not attributed to the monitor's $4 pattern:" >&2
         cat "$explain_dir/mon-vio.out" >&2
         exit 1
     }
@@ -226,6 +226,13 @@ for path in sys.argv[1:]:
     assert c.get("monitor.fallback", 0) == 0, (path, c)
 print("monitor fast path: %d runs all dispatched, zero DFS fallbacks" % len(sys.argv[1:]))
 ' "$explain_dir/mon-stack-sat.json" "$explain_dir/mon-queue-vio.json" "$explain_dir/mon-stack-vio.json"
+
+# Soak the queue stepper against the DFS: 2,000 recorded Michael–Scott
+# queue runs, every other one with an injected defect, each streamed
+# through the stepper and checked in batch. The batch side runs the DFS:
+# under -engine auto it would run the same stepper and agree with itself.
+echo "== calfuzz -soak-stream msqueue vs DFS =="
+go run ./cmd/calfuzz -soak-stream 2000 -object msqueue -engine dfs
 
 # Smoke the ops endpoint: calexplore under -serve must announce its
 # address on stderr, serve parseable Prometheus exposition on /metrics

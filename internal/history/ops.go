@@ -30,8 +30,13 @@ func (op Op) String() string {
 // of invocation. Pending invocations yield operations with Pending set.
 func (h History) Operations() []Op {
 	var ops []Op
+	if len(h) > 0 {
+		// Two events per complete operation, plus a trailing pending one.
+		ops = make([]Op, 0, (len(h)+1)/2)
+	}
 	open := make(map[ThreadID]int) // thread -> index into ops
-	for i, e := range h {
+	for i := range h {
+		e := &h[i]
 		switch e.Kind {
 		case Invoke:
 			open[e.Thread] = len(ops)

@@ -21,6 +21,12 @@ func TestOperations(t *testing.T) {
 			t.Errorf("complete history produced pending op %v", op)
 		}
 	}
+	if cap(ops) != len(ops) {
+		t.Errorf("cap(ops) = %d, want %d: the slice is sized from the history once", cap(ops), len(ops))
+	}
+	if ops := History(nil).Operations(); ops != nil {
+		t.Errorf("empty history: got %v, want nil", ops)
+	}
 }
 
 func TestOperationsPending(t *testing.T) {

@@ -86,32 +86,55 @@ func TestMonitorDFSCrossValidation(t *testing.T) {
 		k := k
 		t.Run(k.name, func(t *testing.T) {
 			t.Parallel()
-			dfs, err := check.NewChecker(k.sp)
+			seeds, maxOps, maxThreads := baseSeeds, 10, 3
+			variants := func(h history.History, rng *rand.Rand, seed int64) []history.History {
+				return []history.History{h, mutate(h, rng), mutate(h, rng)}
+			}
+			if k.name == "queue" {
+				// The queue monitor is the stepper /streams runs, so it
+				// gets the widest sweep: up to 24 ops on up to 5 threads,
+				// plus the stepper tests' fresh-value and spurious-empty
+				// mutants.
+				seeds, maxOps, maxThreads = 3*baseSeeds, 22, 5
+				variants = func(h history.History, rng *rand.Rand, seed int64) []history.History {
+					out := []history.History{h, mutate(h, rng), mutate(h, rng)}
+					if m, ok := monitor.MutateDeqFresh(h, seed); ok {
+						out = append(out, m)
+					}
+					if m, ok := monitor.MutateDeqEmpty(h, seed); ok {
+						out = append(out, m)
+					}
+					return out
+				}
+			}
+			// The state cap bounds the rare mutant whose refutation is
+			// exhaustive; an Unknown DFS verdict is skipped below.
+			dfs, err := check.NewChecker(k.sp, check.WithMaxStates(crossMaxStates))
 			if err != nil {
 				t.Fatalf("NewChecker(dfs): %v", err)
 			}
-			auto, err := check.NewChecker(k.sp, check.WithEngine(check.EngineAuto))
+			auto, err := check.NewChecker(k.sp, check.WithEngine(check.EngineAuto), check.WithMaxStates(crossMaxStates))
 			if err != nil {
 				t.Fatalf("NewChecker(auto): %v", err)
 			}
-			checked, monitorDecided := 0, 0
-			for seed := int64(0); seed < int64(baseSeeds); seed++ {
+			checked, monitorDecided, overBudget := 0, 0, 0
+			for seed := int64(0); seed < int64(seeds); seed++ {
 				rng := rand.New(rand.NewSource(seed * 7919))
-				base := k.gen(3+int(seed)%10, 1+int(seed)%3, seed, xobj)
-				histories := []history.History{base, mutate(base, rng), mutate(base, rng)}
-				for _, h := range histories {
+				base := k.gen(3+int(seed)%maxOps, 1+int(seed)%maxThreads, seed, xobj)
+				for _, h := range variants(base, rng, seed) {
 					dres, err := dfs.Check(ctx, h)
 					if err != nil {
 						t.Fatalf("seed %d: dfs check: %v", seed, err)
 					}
 					if dres.Verdict == check.Unknown {
-						continue // out of budget; nothing to compare against
+						overBudget++ // nothing to compare against
+						continue
 					}
-					checked++
 					ares, err := auto.Check(ctx, h)
 					if err != nil {
 						t.Fatalf("seed %d: auto check: %v", seed, err)
 					}
+					checked++
 					if ares.Verdict != dres.Verdict {
 						t.Fatalf("seed %d: engine disagreement: auto=%s (engine %s) dfs=%s\nreplay with calcheck -engine dfs on:\n%s",
 							seed, ares.Verdict, ares.Engine, dres.Verdict, history.Format(h))
@@ -134,7 +157,11 @@ func TestMonitorDFSCrossValidation(t *testing.T) {
 			if monitorDecided == 0 {
 				t.Fatal("monitor decided zero histories; the fast path is not being exercised")
 			}
-			t.Logf("%s: %d histories compared, %d decided by the monitor", k.name, checked, monitorDecided)
+			t.Logf("%s: %d histories compared, %d decided by the monitor, %d over the DFS budget",
+				k.name, checked, monitorDecided, overBudget)
 		})
 	}
 }
+
+// crossMaxStates caps each DFS run of the cross-validation.
+const crossMaxStates = 20_000

@@ -14,7 +14,12 @@
 // O(n log n) time and O(n) space, with no state-space search at all.
 //
 // Check classifies a history (object kind, value-unambiguity,
-// completeness) and runs the matching monitor. The outcome is four-valued:
+// completeness) and runs the matching monitor. The queue has one
+// monitor for batch and stream alike: Check drives the incremental
+// queue stepper (NewStepper) over the whole history, after one pass that
+// rejects values enqueued or dequeued twice. The stack, set and pqueue
+// monitors are batch passes that their replay steppers re-run. The
+// outcome is four-valued:
 //
 //   - Ineligible: the history is not in the monitor's fragment (wrong
 //     spec kind, pending invocations, ambiguous values, malformed
@@ -171,7 +176,7 @@ func Check(h history.History, sp spec.Spec) Result {
 	}
 	switch kind {
 	case KindQueue:
-		return checkQueue(ops)
+		return decideQueue(h, ops)
 	case KindStack:
 		return checkStack(ops)
 	case KindSet:

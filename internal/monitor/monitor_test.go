@@ -1,6 +1,7 @@
 package monitor
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,6 +93,8 @@ func TestMonitorVerdicts(t *testing.T) {
 			[]history.Op{enq(1, 1, 0, 3), deqEmpty(2, 1, 2), deq(1, 1, 4, 5)}, OK, ""},
 		{"queue/duplicate-value-ineligible", qSpec,
 			[]history.Op{enq(1, 1, 0, 1), deq(1, 1, 2, 3), enq(1, 1, 4, 5), deq(1, 1, 6, 7)}, Ineligible, "ambiguous"},
+		{"queue/duplicate-dequeue-ineligible", qSpec,
+			[]history.Op{enq(1, 1, 0, 1), deq(1, 1, 2, 3), deq(1, 1, 4, 5)}, Ineligible, "value 1 dequeued more than once"},
 		{"queue/pending-ineligible", qSpec,
 			[]history.Op{enq(1, 1, 0, 1), {Thread: 2, Object: obj, Method: spec.MethodDeq, Arg: history.Unit(), InvIndex: 2, ResIndex: -1, Pending: true}}, Ineligible, "pending"},
 
@@ -102,7 +105,7 @@ func TestMonitorVerdicts(t *testing.T) {
 		{"stack/s1-pop-before-push", sSpec,
 			[]history.Op{pop(1, 1, 0, 1), push(1, 1, 2, 3)}, Violation, "S1"},
 		{"stack/s2-covered-pop-empty", sSpec,
-			[]history.Op{push(1, 1, 0, 1), popEmpty(2, 2, 3), pop(1, 1, 4, 5)}, Violation, "pop"},
+			[]history.Op{push(1, 1, 0, 1), popEmpty(2, 2, 3), pop(1, 1, 4, 5)}, Violation, "S2"},
 		{"stack/s3-lifo-violation", sSpec,
 			[]history.Op{push(1, 1, 0, 1), push(1, 2, 2, 3), pop(1, 1, 4, 5), pop(1, 2, 6, 7)}, Violation, "S3"},
 		{"stack/s4-unmatched-blocks-pop", sSpec,
@@ -152,6 +155,51 @@ func TestMonitorVerdicts(t *testing.T) {
 			if tc.reason != "" && !strings.Contains(res.Reason, tc.reason) {
 				t.Fatalf("reason %q does not mention %q", res.Reason, tc.reason)
 			}
+		})
+	}
+}
+
+// TestQueueReasonsNameValues pins that the Q2 and Q3 reasons name both
+// values of the pattern, not just the one whose dequeue detects it.
+func TestQueueReasonsNameValues(t *testing.T) {
+	qSpec := spec.NewQueue(obj)
+	cases := []struct {
+		name string
+		ops  []history.Op
+		want []string
+	}{
+		{"q2", []history.Op{enq(1, 10, 0, 1), enq(1, 20, 2, 3), deq(1, 20, 4, 5), deq(1, 10, 6, 7)},
+			[]string{"Q2", "enq(10)", "enq(20)", "deq ▷ 20", "deq ▷ 10"}},
+		{"q3", []history.Op{enq(1, 10, 0, 1), enq(1, 20, 2, 3), deq(1, 20, 4, 5)},
+			[]string{"Q3", "enq(20)", "enq(10)", "20 is dequeued", "10 never is"}},
+	}
+	for _, tc := range cases {
+		res := Check(mustHistory(t, tc.ops), qSpec)
+		if res.Outcome != Violation {
+			t.Fatalf("%s: outcome %s (%s), want violation", tc.name, res.Outcome, res.Reason)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(res.Reason, w) {
+				t.Errorf("%s: reason %q does not mention %q", tc.name, res.Reason, w)
+			}
+		}
+	}
+}
+
+// BenchmarkQueueCheck measures Check on 100k-event linearizable queue
+// histories, extraction of the operations included.
+func BenchmarkQueueCheck(b *testing.B) {
+	sp := spec.NewQueue(obj)
+	for _, threads := range []int{2, 4, 8} {
+		h := GenQueue(50_000, threads, 42, obj)
+		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if r := Check(h, sp); r.Outcome != OK {
+					b.Fatal(r.Reason)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(h)), "ns/event")
 		})
 	}
 }

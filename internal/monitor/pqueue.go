@@ -90,9 +90,9 @@ func checkPQueue(ops []history.Op) Result {
 		cores := make([]core, 0, len(vals))
 		for _, pv := range vals {
 			if !pv.matched {
-				cores = append(cores, core{s: pv.b, e: infIdx, v: pv.v})
+				cores = append(cores, core{s: pv.b, e: infIdx})
 			} else if pv.b < pv.c {
-				cores = append(cores, core{s: pv.b, e: pv.c, v: pv.v})
+				cores = append(cores, core{s: pv.b, e: pv.c})
 			}
 		}
 		if r, bad := coveredEmpty(empties, cores); bad {

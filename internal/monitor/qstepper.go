@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -9,65 +8,83 @@ import (
 	"calgo/internal/spec"
 )
 
-// queueStepper is the fully incremental queue monitor: the bad patterns
-// Q0–Q4 of checkQueue, re-derived as prefix properties so each can be
-// evaluated the moment its last constituent event arrives, with decided
-// state shed as the stream advances.
+// queueStepper is the queue monitor, for batch and stream alike: Check
+// feeds it a whole history (see decideQueue), NewStepper one event
+// at a time. It decides linearizability of an unambiguous FIFO-queue
+// history by the bad patterns Q0–Q4 (event indices are stream positions;
+// an op with invocation index a and response index b linearizes at some
+// real point in the open interval (a, b)):
 //
-// Per pattern (event indices are stream positions; an op with invocation
-// index a and response index b linearizes in the open interval (a, b)):
+//	Q0  a value is dequeued but never enqueued;
+//	Q1  a value is dequeued entirely before its enqueue (eInv > dRes);
+//	Q2  FIFO inversion: u is enqueued strictly before w (eRes_u ≤ eInv_w)
+//	    yet w is dequeued strictly before u's dequeue starts
+//	    (dRes_w ≤ dInv_u) — no linearization can order both pairs;
+//	Q3  a dequeued value is enqueued strictly after some never-dequeued
+//	    value's enqueue completes — FIFO forces the unmatched value out
+//	    first, but it is never dequeued;
+//	Q4  an empty-dequeue window is covered by the merged closed cores
+//	    [eRes, dInv] of values surely present throughout it.
 //
-//	Q0/Q1 at deq ▷ v response: if enq(v) has not been *invoked* yet, the
-//	prefix is bad — any future enq(v) starts after this response (Q1),
-//	and no enq at all is Q0. If enq(v) is invoked but unresponded the
+// A history with none of these patterns is linearizable (completeness of
+// the pattern set for unambiguous queue histories; cf. Bouajjani–Emmi–
+// Enea–Hamza and Lee–Mathur). Each pattern is re-derived as a prefix
+// property, evaluated the moment its last constituent event arrives:
+//
+//	Q0/Q1 at deq ▷ v response: if no enqueue of v is outstanding (enq(v)
+//	is not invoked yet, or its record was shed), the prefix is bad — a
+//	future enq(v) starts after this response (Q1), no enq at all is Q0,
+//	and a second dequeue of a shed value has no enqueue left to match.
+//	The stepper reports Q0; Check, which sees the whole history, names
+//	Q1 when enq(v) comes later. If enq(v) is invoked but unresponded the
 //	match is legal (the enqueue linearizes early); its response fills in
 //	eRes later.
 //
-//	Q2 (FIFO inversion: eRes_u ≤ eInv_w ∧ dRes_w ≤ dInv_u) at dRes_u:
-//	both dequeues have completed by dRes_u (dRes_w ≤ dInv_u < dRes_u),
-//	so an append-only log of completed dequeues (dRes, eInv) with a
-//	running prefix-max of eInv answers "max eInv over dRes ≤ dInv_u" by
-//	binary search. If enq(u) is still pending, eRes_u exceeds every
-//	logged eInv and no instance exists yet — and none ever will, since
-//	later dequeues respond after dInv_u.
+//	Q2 at dRes_u: both dequeues have completed by then (dRes_w ≤ dInv_u
+//	< dRes_u), so an append-only log of completed dequeues in dRes order,
+//	each carrying the logged dequeue of largest eInv so far, answers
+//	"max eInv over dRes ≤ dInv_u" by binary search. If enq(u) is still
+//	pending, eRes_u exceeds every logged eInv and no instance exists yet
+//	— and none ever will, since later dequeues respond after dInv_u.
 //
-//	Q3 (a dequeued value enqueued after an unmatched value's enqueue
-//	completed) is not prefix-stable — an unmatched value may be dequeued
-//	later — so it is evaluated only at Finish on a complete stream, from
-//	the running max of matched eInv and the min eRes over values
-//	unmatched at the end.
+//	Q3 is not prefix-stable — an unmatched value may be dequeued later —
+//	so it is evaluated only at Finish on a complete stream, from the
+//	matched value of largest eInv and the unmatched value of least eRes.
 //
-//	Q4 (empty deq with window (x, y) covered by merged sure-presence
-//	cores): deferred until every dequeue invoked before y has responded;
-//	dequeues invoked after y remove values at dInv ≥ y and cannot shrink
-//	coverage below y, so the evaluation is then final and equal to the
-//	batch verdict. Matched cores [eRes, dInv] live in a merged disjoint
-//	interval set; values unmatched at evaluation time contribute
-//	[eRes, ∞), collapsed into the single minimum unmatched eRes.
+//	Q4 is deferred until every dequeue invoked before y has responded,
+//	for an empty deq with window (x, y); dequeues invoked after y remove
+//	values at dInv ≥ y and cannot shrink coverage below y, so the
+//	evaluation is then final and equal to the whole-history verdict.
+//	Matched cores [eRes, dInv] live in a merged disjoint interval set;
+//	values unmatched at evaluation time contribute [eRes, ∞), collapsed
+//	into the single least unmatched eRes.
 //
 // Shedding: a value record is dropped as soon as both its operations
 // completed and its contributions are folded into the Q2 log, the core
-// set and the Q3 scalar; Q2 log entries and cores wholly before the
+// set and the Q3 maximum; Q2 log entries and cores wholly before the
 // oldest pending invocation (and oldest deferred empty window) can never
-// be queried again and are dropped too, folding dropped eInv into a
-// scalar base. Resident state therefore tracks the live window, not the
-// stream length. The waived check: a value recurring after its record
-// was shed is treated as fresh, not ambiguous (see Stepper).
+// be queried again and are dropped too, folding their maximum into a
+// base entry. Resident state therefore tracks the live window, not the
+// stream length. What shedding costs is the record of values already
+// seen: a value enqueued again after its record was shed is treated as
+// fresh, and dequeued again, as Q0. Check rejects both as ambiguous
+// before it runs the stepper.
 type queueStepper struct {
 	pend map[history.ThreadID]stepPending
-	vals map[int64]*qsVal
+	vals map[int64]qsVal
 
-	// Q2: completed value-dequeues in dRes order. deqBase folds the max
-	// eInv of shed front entries (-1 when none).
+	// Q2: completed value-dequeues in dRes order. deqBase is the maximum
+	// of the shed front entries (eInv -1 when none).
 	deqLog  []qDeqEntry
-	deqBase int
+	deqBase qDeq
 
-	// Q3: running max eInv over matched values (-1 when none).
-	maxMatchedEInv int
+	// Q3: the matched value of largest eInv (eInv -1 when none).
+	maxMatched qDeq
 
 	// Q4.
 	cores         coreSet
-	unmatched     eResHeap // min-heap over unmatched completed enqueues, lazy deletion
+	unmatched     []eResItem // completed enqueues in eRes order; matched ones are skipped lazily
+	unmatchedHead int
 	liveUnmatched int
 	deferred      []qEmpty // empty-deq windows awaiting older dequeues; y increasing
 	deferredHead  int
@@ -83,26 +100,97 @@ type queueStepper struct {
 
 // qsVal is the live record of one value.
 type qsVal struct {
-	v          int64
 	eInv, eRes int // eRes == -1 while the enqueue is unresponded
-	dInv, dRes int
-	matched    bool
+	dInv       int // -1 until the value is dequeued
 }
 
+// qDeq is one completed value-dequeue as the Q2 and Q3 checks name it.
+type qDeq struct {
+	v          int64
+	eInv, dRes int
+}
+
+// qDeqEntry logs a completed dequeue at dRes with max, the logged
+// dequeue of largest eInv up to and including this one.
 type qDeqEntry struct {
-	dRes, eInv, prefixMax int
+	dRes int
+	max  qDeq
 }
 
 type qEmpty struct {
 	x, y int // open window (dInv, dRes) of an empty dequeue
 }
 
+// eResItem is a completed enqueue in the unmatched FIFO.
+type eResItem struct {
+	eRes int
+	v    int64
+}
+
 func newQueueStepper() *queueStepper {
 	return &queueStepper{
-		pend:           make(map[history.ThreadID]stepPending),
-		vals:           make(map[int64]*qsVal),
-		deqBase:        -1,
-		maxMatchedEInv: -1,
+		pend:       make(map[history.ThreadID]stepPending),
+		vals:       make(map[int64]qsVal),
+		deqBase:    qDeq{eInv: -1},
+		maxMatched: qDeq{eInv: -1},
+	}
+}
+
+// decideQueue decides a complete queue history with the queue
+// stepper. The stepper cannot see a value enqueued or dequeued twice once
+// it has shed the value's record, so one pass over ops first rejects
+// those ambiguities; it also notes where each value is enqueued, so a
+// stepper Q0 on a value enqueued later in the history is named Q1.
+func decideQueue(h history.History, ops []history.Op) Result {
+	type seen struct {
+		eInv     int
+		enq, deq bool
+	}
+	vals := make(map[int64]seen, len(ops)/2)
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case op.Method == spec.MethodEnq && op.Arg.Kind == history.KindInt:
+			sv := vals[op.Arg.N]
+			if sv.enq {
+				return ineligible(KindQueue, ops, "value %d enqueued more than once (ambiguous history)", op.Arg.N)
+			}
+			sv.enq, sv.eInv = true, op.InvIndex
+			vals[op.Arg.N] = sv
+		case op.Method == spec.MethodDeq && op.Ret.Kind == history.KindPair && op.Ret.B:
+			sv := vals[op.Ret.N]
+			if sv.deq {
+				return ineligible(KindQueue, ops, "value %d dequeued more than once (ambiguous history)", op.Ret.N)
+			}
+			sv.deq = true
+			vals[op.Ret.N] = sv
+		}
+	}
+	st := newQueueStepper()
+	r := stepOK
+	for i := range h {
+		if r = st.Advance(h[i], i); r.Outcome != StepOK {
+			break
+		}
+	}
+	if r.Outcome == StepOK {
+		r = st.Finish()
+	}
+	switch r.Outcome {
+	case StepOK:
+		return Result{Kind: KindQueue, Outcome: OK, Ops: ops}
+	case StepViolation:
+		if ev := h[r.AtEvent]; ev.Ret.Kind == history.KindPair && ev.Ret.B {
+			if sv := vals[ev.Ret.N]; sv.enq && sv.eInv > r.AtEvent {
+				return violation(KindQueue, ops,
+					"Q1: deq ▷ %d completes at %d before enq(%d) is invoked at %d", ev.Ret.N, r.AtEvent, ev.Ret.N, sv.eInv)
+			}
+		}
+		return Result{Kind: KindQueue, Outcome: Violation, Reason: r.Reason, Ops: ops}
+	case StepIneligible:
+		return Result{Kind: KindQueue, Outcome: Ineligible, Reason: r.Reason, Ops: ops}
+	default:
+		return Result{Kind: KindQueue, Outcome: Inconclusive, Reason: r.Reason, Ops: ops}
 	}
 }
 
@@ -122,7 +210,10 @@ func (s *queueStepper) Advance(ev history.Event, idx int) StepResult {
 	s.lastIdx = idx
 	switch ev.Kind {
 	case history.Invoke:
-		if _, dup := s.pend[ev.Thread]; dup {
+		// An assignment that leaves the map's size unchanged overwrote a
+		// pending operation; the failure is sticky, so the loss is moot.
+		n := len(s.pend)
+		if s.pend[ev.Thread] = (stepPending{method: ev.Method, arg: ev.Arg, inv: idx}); len(s.pend) == n {
 			return s.fail(StepIneligible, idx, "thread %s invokes %s while an operation is pending", ev.Thread, ev.Method)
 		}
 		switch ev.Method {
@@ -134,7 +225,7 @@ func (s *queueStepper) Advance(ev history.Event, idx int) StepResult {
 			if _, dup := s.vals[v]; dup {
 				return s.fail(StepIneligible, idx, "value %d enqueued more than once (ambiguous history)", v)
 			}
-			s.vals[v] = &qsVal{v: v, eInv: idx, eRes: -1, dInv: -1, dRes: -1}
+			s.vals[v] = qsVal{eInv: idx, eRes: -1, dInv: -1}
 		case spec.MethodDeq:
 			if ev.Arg.Kind != history.KindUnit {
 				return s.fail(StepIneligible, idx, "deq at inv=%d is not () ▷ (bool,int)", idx)
@@ -143,7 +234,6 @@ func (s *queueStepper) Advance(ev history.Event, idx int) StepResult {
 		default:
 			return s.fail(StepIneligible, idx, "unknown queue method %s", ev.Method)
 		}
-		s.pend[ev.Thread] = stepPending{method: ev.Method, arg: ev.Arg, inv: idx}
 		s.pendingInv.push(idx)
 	case history.Respond:
 		p, ok := s.pend[ev.Thread]
@@ -180,20 +270,20 @@ func (s *queueStepper) enqDone(p stepPending, ev history.Event, idx int) StepRes
 	if ev.Ret.Kind != history.KindBool || !ev.Ret.B {
 		return s.fail(StepIneligible, idx, "enq at inv=%d is not int ▷ true", p.inv)
 	}
-	qv := s.vals[p.arg.N] // present: created at the invocation
-	qv.eRes = idx
-	if qv.matched {
+	v := p.arg.N
+	qv := s.vals[v] // present: created at the invocation
+	if qv.dInv >= 0 {
 		// The dequeue completed while this enqueue was unresponded: the
 		// value linearizes early. No Q2 instance can name it as u (every
-		// logged eInv precedes eRes_u = now), so fold the core and shed.
-		if qv.eRes < qv.dInv {
-			s.cores.insert(qv.eRes, qv.dInv)
-		}
-		delete(s.vals, qv.v)
+		// logged eInv precedes eRes_u = now), and its core [eRes, dInv]
+		// is empty, so shed it.
+		delete(s.vals, v)
 		s.shed++
 		return stepOK
 	}
-	heap.Push(&s.unmatched, eResItem{eRes: idx, v: qv.v})
+	qv.eRes = idx
+	s.vals[v] = qv
+	s.unmatched = append(s.unmatched, eResItem{eRes: idx, v: v})
 	s.liveUnmatched++
 	return stepOK
 }
@@ -215,22 +305,24 @@ func (s *queueStepper) deqDone(p stepPending, ev history.Event, idx int) StepRes
 	qv, ok := s.vals[v]
 	if !ok {
 		return s.fail(StepViolation, idx,
-			"Q0: deq ▷ %d completes at %d but enq(%d) has not been invoked", v, idx, v)
+			"Q0: deq ▷ %d completes at %d but no enqueue of %d is outstanding", v, idx, v)
 	}
-	if qv.matched {
+	if qv.dInv >= 0 {
 		return s.fail(StepIneligible, idx, "value %d dequeued more than once (ambiguous history)", v)
 	}
-	qv.matched, qv.dInv, qv.dRes = true, x, y
-	if qv.eInv > s.maxMatchedEInv {
-		s.maxMatchedEInv = qv.eInv
+	qv.dInv = x
+	d := qDeq{v: v, eInv: qv.eInv, dRes: y}
+	if d.eInv > s.maxMatched.eInv {
+		s.maxMatched = d
 	}
 	if qv.eRes >= 0 {
 		s.liveUnmatched--
 		// Q2 with this value as u: any FIFO-inverted w has already
 		// completed its dequeue (dRes_w ≤ dInv_u = x < now).
-		if m := s.deqMaxEInvUpTo(x); m >= qv.eRes {
+		if w := s.deqMaxUpTo(x); w.eInv >= qv.eRes {
 			return s.fail(StepViolation, idx,
-				"Q2: FIFO inversion — a value enqueued at or after enq(%d) completed at %d is dequeued before deq ▷ %d starts at %d", v, qv.eRes, v, x)
+				"Q2: FIFO inversion — enq(%d) completes at %d before enq(%d) starts at %d, but deq ▷ %d completes at %d before deq ▷ %d starts at %d",
+				v, qv.eRes, w.v, w.eInv, w.v, w.dRes, v, x)
 		}
 		if qv.eRes < x {
 			s.cores.insert(qv.eRes, x)
@@ -238,44 +330,49 @@ func (s *queueStepper) deqDone(p stepPending, ev history.Event, idx int) StepRes
 	}
 	// Log the completed dequeue for future Q2 queries (eInv is known even
 	// when the enqueue is still unresponded).
-	pm := qv.eInv
-	if n := len(s.deqLog); n > 0 && s.deqLog[n-1].prefixMax > pm {
-		pm = s.deqLog[n-1].prefixMax
+	top := s.deqBase
+	if n := len(s.deqLog); n > 0 {
+		top = s.deqLog[n-1].max
 	}
-	if s.deqBase > pm {
-		pm = s.deqBase
+	if d.eInv > top.eInv {
+		top = d
 	}
-	s.deqLog = append(s.deqLog, qDeqEntry{dRes: y, eInv: qv.eInv, prefixMax: pm})
+	s.deqLog = append(s.deqLog, qDeqEntry{dRes: y, max: top})
 	if qv.eRes >= 0 {
 		delete(s.vals, v)
 		s.shed++
+	} else {
+		s.vals[v] = qv
 	}
 	return stepOK
 }
 
-// deqMaxEInvUpTo returns the max eInv over completed dequeues with
+// deqMaxUpTo returns the logged dequeue of largest eInv among those with
 // dRes ≤ x, including the folded base of shed entries (every shed entry
 // has dRes below any reachable query threshold).
-func (s *queueStepper) deqMaxEInvUpTo(x int) int {
+func (s *queueStepper) deqMaxUpTo(x int) qDeq {
 	i := sort.Search(len(s.deqLog), func(i int) bool { return s.deqLog[i].dRes > x }) - 1
 	if i < 0 {
 		return s.deqBase
 	}
-	return s.deqLog[i].prefixMax
+	return s.deqLog[i].max
 }
 
-// minUnmatchedERes pops stale heap tops (matched or shed values) and
-// returns the min eRes over currently unmatched completed enqueues,
-// infIdx when none.
-func (s *queueStepper) minUnmatchedERes() int {
-	for len(s.unmatched) > 0 {
-		top := s.unmatched[0]
-		if qv, ok := s.vals[top.v]; ok && !qv.matched {
-			return top.eRes
+// minUnmatched skips stale FIFO heads (values matched or shed since) and
+// returns the unmatched completed enqueue of least eRes, eRes infIdx
+// when none.
+func (s *queueStepper) minUnmatched() eResItem {
+	for ; s.unmatchedHead < len(s.unmatched); s.unmatchedHead++ {
+		if it := s.unmatched[s.unmatchedHead]; s.isUnmatched(it) {
+			return it
 		}
-		heap.Pop(&s.unmatched)
 	}
-	return infIdx
+	return eResItem{eRes: infIdx}
+}
+
+func (s *queueStepper) isUnmatched(it eResItem) bool {
+	qv, ok := s.vals[it.v]
+	return ok && qv.eRes == it.eRes && qv.dInv < 0
 }
 
 // drainDeferred evaluates deferred empty-dequeue windows whose result is
@@ -286,9 +383,9 @@ func (s *queueStepper) drainDeferred() StepResult {
 	for s.deferredHead < len(s.deferred) && s.deferred[s.deferredHead].y <= m {
 		em := s.deferred[s.deferredHead]
 		s.deferredHead++
-		u := s.minUnmatchedERes()
+		u := s.minUnmatched().eRes
 		// Covered iff a merged core (matched cores plus [u, ∞) for the
-		// minimum unmatched eRes) spans [s, e] with s ≤ x and y ≤ e.
+		// least unmatched eRes) spans [s, e] with s ≤ x and y ≤ e.
 		if u <= em.x {
 			return s.fail(StepViolation, em.y,
 				"Q4: empty deq with window (%d, %d) is covered by sure-presence core [%d, ∞) — the queue is never empty there", em.x, em.y, u)
@@ -299,7 +396,7 @@ func (s *queueStepper) drainDeferred() StepResult {
 		}
 	}
 	if s.deferredHead > 64 && s.deferredHead*2 > len(s.deferred) {
-		s.deferred = append(s.deferred[:0:0], s.deferred[s.deferredHead:]...)
+		s.deferred = s.deferred[:copy(s.deferred, s.deferred[s.deferredHead:])]
 		s.deferredHead = 0
 	}
 	return stepOK
@@ -307,7 +404,7 @@ func (s *queueStepper) drainDeferred() StepResult {
 
 // maybeShed drops state that no future query can reach: Q2 log entries
 // and cores wholly before the oldest pending invocation and oldest
-// deferred empty window, and stale heap entries. Runs every 1024 events.
+// deferred empty window, and stale FIFO entries. Runs every 1024 events.
 func (s *queueStepper) maybeShed() {
 	if s.events-s.lastShedPass < 1024 {
 		return
@@ -319,14 +416,12 @@ func (s *queueStepper) maybeShed() {
 	// or invoked later (> now): drop entries with dRes < floor.
 	cut := 0
 	for cut < len(s.deqLog) && s.deqLog[cut].dRes < floor {
-		if s.deqLog[cut].eInv > s.deqBase {
-			s.deqBase = s.deqLog[cut].eInv
-		}
 		cut++
 	}
 	if cut > 0 {
+		s.deqBase = s.deqLog[cut-1].max
 		s.shed += int64(cut)
-		s.deqLog = append(s.deqLog[:0:0], s.deqLog[cut:]...)
+		s.deqLog = s.deqLog[:copy(s.deqLog, s.deqLog[cut:])]
 	}
 
 	// Core queries come from deferred empty windows (known x) or future
@@ -339,16 +434,15 @@ func (s *queueStepper) maybeShed() {
 	}
 	s.shed += int64(s.cores.dropBefore(coreFloor))
 
-	// Rebuild the unmatched heap when stale entries dominate.
+	// Compact the unmatched FIFO when stale entries dominate.
 	if len(s.unmatched) > 2*s.liveUnmatched+64 {
 		live := s.unmatched[:0]
-		for _, it := range s.unmatched {
-			if qv, ok := s.vals[it.v]; ok && !qv.matched {
+		for _, it := range s.unmatched[s.unmatchedHead:] {
+			if s.isUnmatched(it) {
 				live = append(live, it)
 			}
 		}
-		s.unmatched = live
-		heap.Init(&s.unmatched)
+		s.unmatched, s.unmatchedHead = live, 0
 	}
 }
 
@@ -371,9 +465,10 @@ func (s *queueStepper) Finish() StepResult {
 	}
 	// Q3: a matched value enqueued strictly after some unmatched value's
 	// enqueue completed — FIFO forces the unmatched value out first.
-	if u := s.minUnmatchedERes(); u < infIdx && s.maxMatchedEInv > u {
+	if u, w := s.minUnmatched(), s.maxMatched; u.eRes < infIdx && w.eInv > u.eRes {
 		return s.fail(StepViolation, s.lastIdx,
-			"Q3: a value enqueued after an unmatched value's enqueue completed at %d is dequeued, yet the unmatched value never is", u)
+			"Q3: enq(%d) starts at %d, after unmatched enq(%d) completed at %d, yet %d is dequeued and %d never is",
+			w.v, w.eInv, u.v, u.eRes, w.v, u.v)
 	}
 	res := stepOK
 	s.done = &res
@@ -386,7 +481,7 @@ func (s *queueStepper) Stats() StepStats {
 		Ops:     s.opsDone,
 		Pending: len(s.pend),
 		Resident: len(s.vals) + len(s.pend) + len(s.deqLog) + s.cores.len() +
-			len(s.unmatched) + (len(s.deferred) - s.deferredHead) +
+			(len(s.unmatched) - s.unmatchedHead) + (len(s.deferred) - s.deferredHead) +
 			s.pendingInv.resident() + s.pendingDeq.resident(),
 		Shed:        s.shed,
 		Incremental: true,
@@ -394,35 +489,41 @@ func (s *queueStepper) Stats() StepStats {
 }
 
 // pendMinTracker tracks the minimum of a set of indices pushed in
-// increasing order and resolved in arbitrary order, with compaction so
-// resident memory tracks the live set.
+// increasing order and resolved in arbitrary order. q stays sorted: a
+// resolved index is overwritten in place by its complement ^i, a
+// negative tombstone, found by binary search. Compaction drops
+// tombstones so resident memory tracks the live set.
 type pendMinTracker struct {
-	q        []int
-	head     int
-	resolved map[int]struct{}
+	q    []int
+	head int
+	dead int // tombstones in q[head:]
 }
 
 func (t *pendMinTracker) push(i int) { t.q = append(t.q, i) }
 
 func (t *pendMinTracker) resolve(i int) {
-	if t.head < len(t.q) && t.q[t.head] == i {
-		t.head++
-	} else {
-		if t.resolved == nil {
-			t.resolved = make(map[int]struct{})
+	live := t.q[t.head:]
+	k := sort.Search(len(live), func(k int) bool {
+		x := live[k]
+		if x < 0 {
+			x = ^x
 		}
-		t.resolved[i] = struct{}{}
-	}
-	for t.head < len(t.q) {
-		if _, ok := t.resolved[t.q[t.head]]; !ok {
-			break
-		}
-		delete(t.resolved, t.q[t.head])
+		return x >= i
+	})
+	live[k] = ^i
+	t.dead++
+	for t.head < len(t.q) && t.q[t.head] < 0 {
 		t.head++
+		t.dead--
 	}
-	if t.head > 4096 && t.head*2 > len(t.q) {
-		t.q = append(t.q[:0:0], t.q[t.head:]...)
-		t.head = 0
+	if gone := t.head + t.dead; gone > 4096 && gone*2 > len(t.q) {
+		kept := t.q[:0]
+		for _, x := range t.q[t.head:] {
+			if x >= 0 {
+				kept = append(kept, x)
+			}
+		}
+		t.q, t.head, t.dead = kept, 0, 0
 	}
 }
 
@@ -434,21 +535,7 @@ func (t *pendMinTracker) min() int {
 	return t.q[t.head]
 }
 
-func (t *pendMinTracker) resident() int { return len(t.q) - t.head + len(t.resolved) }
-
-// eResHeap is a min-heap of unmatched completed enqueues keyed by eRes.
-type eResItem struct {
-	eRes int
-	v    int64
-}
-
-type eResHeap []eResItem
-
-func (h eResHeap) Len() int           { return len(h) }
-func (h eResHeap) Less(i, j int) bool { return h[i].eRes < h[j].eRes }
-func (h eResHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eResHeap) Push(x any)        { *h = append(*h, x.(eResItem)) }
-func (h *eResHeap) Pop() any          { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
+func (t *pendMinTracker) resident() int { return len(t.q) - t.head }
 
 // coreSet maintains the merged sure-presence cores as disjoint,
 // non-touching components sorted by start (closed intervals; touching
@@ -499,7 +586,7 @@ func (c *coreSet) dropBefore(floor int) int {
 		cut++
 	}
 	if cut > 0 {
-		c.comp = append(c.comp[:0:0], c.comp[cut:]...)
+		c.comp = c.comp[:copy(c.comp, c.comp[cut:])]
 	}
 	return cut
 }

@@ -98,13 +98,15 @@ func checkStack(ops []history.Op) Result {
 		cores := make([]core, 0, len(vals))
 		for _, sv := range vals {
 			if !sv.matched {
-				cores = append(cores, core{s: sv.b, e: infIdx, v: sv.v})
+				cores = append(cores, core{s: sv.b, e: infIdx})
 			} else if sv.b < sv.c {
-				cores = append(cores, core{s: sv.b, e: sv.c, v: sv.v})
+				cores = append(cores, core{s: sv.b, e: sv.c})
 			}
 		}
 		if r, bad := coveredEmpty(empties, cores); bad {
-			return r.into(KindStack, ops, "pop")
+			return violation(KindStack, ops,
+				"S2: empty pop with window (%d, %d) is covered by sure-presence core [%d, %d] — the stack is never empty there",
+				r.inv, r.res, r.s, r.e)
 		}
 	}
 

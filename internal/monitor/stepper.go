@@ -94,10 +94,12 @@ type StepStats struct {
 // state, violations are reported at the exact event that makes the prefix
 // non-linearizable, and fully decided value records are shed so the
 // resident footprint tracks the live (pending or unmatched) operations
-// rather than the stream length. Shedding waives one check: a value that
-// recurs after its record was shed is treated as fresh rather than
-// ambiguous, so callers must feed value-unambiguous streams (the same
-// contract the batch monitors already require).
+// rather than the stream length. It is also the queue's batch monitor:
+// Check feeds it whole histories. Shedding waives one check: a value
+// enqueued again after its record was shed is treated as fresh rather
+// than ambiguous, and dequeued again, as a Q0 violation, so callers must
+// feed value-unambiguous streams (the same contract the batch monitors
+// require; Check enforces it with one pass before it runs the stepper).
 //
 // Stack, set and priority-queue histories have no incremental bad-pattern
 // evaluation yet; their steppers retain every completed operation and

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"calgo/internal/history"
@@ -26,23 +27,132 @@ func runStepper(t *testing.T, sp spec.Spec, h history.History) StepResult {
 }
 
 // agreeWithBatch cross-validates the stepper's final outcome on a
-// complete history against the batch monitor. StepInconclusive means the
-// stepper punted to the general checker, so any batch outcome is
-// acceptable there; every other outcome must match exactly.
+// complete history against a reference: the batch monitor, or for the
+// queue, whose batch monitor is the stepper itself, refQueue.
+// StepInconclusive means the stepper punted to the general checker, so
+// any reference outcome is acceptable there; every other outcome must
+// match exactly.
 func agreeWithBatch(t *testing.T, sp spec.Spec, h history.History, label string) {
 	t.Helper()
 	sr := runStepper(t, sp, h)
-	br := Check(h, sp)
 	if sr.Outcome == StepInconclusive {
 		return
 	}
+	var ref Outcome
+	var why string
+	if SpecKind(sp) == KindQueue {
+		var found map[string]bool
+		ref, found = refQueue(h.Operations())
+		why = fmt.Sprint(found)
+	} else {
+		br := Check(h, sp)
+		ref, why = br.Outcome, br.Reason
+	}
 	want := map[Outcome]StepOutcome{
 		OK: StepOK, Violation: StepViolation, Ineligible: StepIneligible, Inconclusive: StepInconclusive,
-	}[br.Outcome]
+	}[ref]
 	if sr.Outcome != want {
-		t.Fatalf("%s: stepper %s (%s at %d) but batch %s (%s)",
-			label, sr.Outcome, sr.Reason, sr.AtEvent, br.Outcome, br.Reason)
+		t.Fatalf("%s: stepper %s (%s at %d) but reference %s (%s)",
+			label, sr.Outcome, sr.Reason, sr.AtEvent, ref, why)
 	}
+}
+
+// refQueue decides a complete queue history straight from the
+// definitions of Q0–Q4 in queueStepper's doc, with no sorting, sweeping
+// or shedding: Q2 and Q3 pair by pair, Q4 point by point on doubled
+// coordinates (position 2i is event index i, 2i+1 the open gap
+// (i, i+1)). It is quadratic and serves only as the queue stepper's
+// reference. found names every pattern present, plus "F" for a failed
+// deq other than (false,0), "shape" for a malformed operation (then
+// skipped) and "dup-enq"/"dup-deq" for a value enqueued or dequeued
+// twice (the patterns then read each value's first operations).
+// Malformed shapes and duplicates make the history Ineligible;
+// otherwise it is a Violation iff found is not empty.
+func refQueue(ops []history.Op) (Outcome, map[string]bool) {
+	type rv struct{ enq, deq *history.Op }
+	vals := map[int64]*rv{}
+	val := func(v int64) *rv {
+		if vals[v] == nil {
+			vals[v] = &rv{}
+		}
+		return vals[v]
+	}
+	found := map[string]bool{}
+	var empties []*history.Op
+	for i := range ops {
+		op := &ops[i]
+		switch {
+		case op.Method == spec.MethodEnq && op.Arg.Kind == history.KindInt && op.Ret == history.Bool(true):
+			if r := val(op.Arg.N); r.enq == nil {
+				r.enq = op
+			} else {
+				found["dup-enq"] = true
+			}
+		case op.Method == spec.MethodDeq && op.Arg.Kind == history.KindUnit && op.Ret.Kind == history.KindPair:
+			switch {
+			case op.Ret.B:
+				if r := val(op.Ret.N); r.deq == nil {
+					r.deq = op
+				} else {
+					found["dup-deq"] = true
+				}
+			case op.Ret.N == 0:
+				empties = append(empties, op)
+			default:
+				found["F"] = true
+			}
+		default:
+			found["shape"] = true
+		}
+	}
+	// cores are the closed sure-presence intervals [eRes, dInv], with
+	// e = infIdx for values never dequeued.
+	var cores [][2]int
+	for _, u := range vals {
+		switch {
+		case u.enq == nil:
+			found["Q0"] = true
+		case u.deq == nil:
+			cores = append(cores, [2]int{u.enq.ResIndex, infIdx})
+		case u.enq.InvIndex > u.deq.ResIndex:
+			found["Q1"] = true
+		case u.enq.ResIndex < u.deq.InvIndex:
+			cores = append(cores, [2]int{u.enq.ResIndex, u.deq.InvIndex})
+		}
+		for _, w := range vals {
+			if u == w || u.enq == nil || w.enq == nil || w.deq == nil {
+				continue
+			}
+			if u.deq != nil && u.enq.ResIndex <= w.enq.InvIndex && w.deq.ResIndex <= u.deq.InvIndex {
+				found["Q2"] = true
+			}
+			if u.deq == nil && w.enq.InvIndex > u.enq.ResIndex {
+				found["Q3"] = true
+			}
+		}
+	}
+	for _, em := range empties {
+		covered := true
+		for p := 2*em.InvIndex + 1; p <= 2*em.ResIndex-1 && covered; p++ {
+			covered = false
+			for _, c := range cores {
+				if 2*c[0] <= p && (c[1] == infIdx || p <= 2*c[1]) {
+					covered = true
+					break
+				}
+			}
+		}
+		if covered {
+			found["Q4"] = true
+		}
+	}
+	switch {
+	case found["shape"] || found["dup-enq"] || found["dup-deq"]:
+		return Ineligible, found
+	case len(found) > 0:
+		return Violation, found
+	}
+	return OK, found
 }
 
 // mutateDeqFresh rewrites one successful removal-style response to return
@@ -83,9 +193,9 @@ func mutateDeqEmpty(h history.History, seed int64) (history.History, bool) {
 	return m, true
 }
 
-// TestStepperMatchesBatch cross-validates every stepper kind against the
-// batch monitor on generated histories, pristine and with injected
-// defects.
+// TestStepperMatchesBatch cross-validates every stepper kind against its
+// reference (see agreeWithBatch) on generated histories, pristine and
+// with injected defects.
 func TestStepperMatchesBatch(t *testing.T) {
 	kinds := []struct {
 		name string
@@ -167,6 +277,25 @@ func TestQueueStepperQ0AtExactEvent(t *testing.T) {
 	// Batch agrees on the whole history.
 	if br := Check(h, spec.NewQueue("q")); br.Outcome != Violation {
 		t.Fatalf("batch: %s (%s)", br.Outcome, br.Reason)
+	}
+}
+
+func TestQueueStepperQ0AfterShed(t *testing.T) {
+	// A second deq ▷ 1 after 1's record was shed: the stepper no longer
+	// knows when enq(1) was invoked, only that no enqueue of 1 is
+	// outstanding, and its reason says just that.
+	h := buildH([]evRow{
+		{inv: true, thread: 1, method: spec.MethodEnq, arg: history.Int(1)},
+		{thread: 1, method: spec.MethodEnq, ret: history.Bool(true)},
+		{inv: true, thread: 1, method: spec.MethodDeq, arg: history.Unit()},
+		{thread: 1, method: spec.MethodDeq, ret: history.Pair(true, 1)},
+		{inv: true, thread: 1, method: spec.MethodDeq, arg: history.Unit()},
+		{thread: 1, method: spec.MethodDeq, ret: history.Pair(true, 1)},
+	})
+	r := runStepper(t, spec.NewQueue("q"), h)
+	const want = "Q0: deq ▷ 1 completes at 5 but no enqueue of 1 is outstanding"
+	if r.Outcome != StepViolation || r.AtEvent != 5 || r.Reason != want {
+		t.Fatalf("got %s at %d (%q), want violation at 5 (%q)", r.Outcome, r.AtEvent, r.Reason, want)
 	}
 }
 
@@ -302,6 +431,43 @@ func TestQueueStepperShedsDecidedState(t *testing.T) {
 	}
 	if r := st.Finish(); r.Outcome != StepOK {
 		t.Fatalf("finish: %s (%s)", r.Outcome, r.Reason)
+	}
+}
+
+func TestPendMinTrackerStuckHead(t *testing.T) {
+	// One operation stays pending while 100k later ones resolve in
+	// random order: the minimum stays put, and compaction keeps the
+	// tracker's footprint near the live set rather than the stream.
+	var tr pendMinTracker
+	rng := rand.New(rand.NewSource(1))
+	tr.push(0)
+	var live []int
+	for i := 1; i <= 100_000; i++ {
+		tr.push(i)
+		live = append(live, i)
+		if len(live) > 8 {
+			j := rng.Intn(len(live))
+			tr.resolve(live[j])
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		if m := tr.min(); m != 0 {
+			t.Fatalf("after push %d: min = %d, want the stuck 0", i, m)
+		}
+		if r := tr.resident(); r > 2*(4096+len(live)+1) {
+			t.Fatalf("after push %d: resident %d for %d live indices", i, r, len(live)+1)
+		}
+	}
+	tr.resolve(0)
+	sort.Ints(live)
+	if m := tr.min(); m != live[0] {
+		t.Fatalf("min = %d after the stuck index resolved, want %d", m, live[0])
+	}
+	for _, i := range live {
+		tr.resolve(i)
+	}
+	if m := tr.min(); m != infIdx {
+		t.Fatalf("min = %d with nothing pending, want infIdx", m)
 	}
 }
 
