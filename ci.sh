@@ -153,6 +153,21 @@ grep -q "VIOLATION" "$explain_dir/v.md" && grep -q "BLOCKED" "$explain_dir/v.md"
 }
 echo "calreport: report JSON -> Markdown round-trip OK"
 
+# Run every example program from a built binary: each checks its own
+# claims and must exit 0 (go run would turn other exits into its own 1).
+echo "== examples =="
+for ex in examples/*/; do
+    [ -f "$ex/main.go" ] || continue
+    name=$(basename "$ex")
+    go build -o "$explain_dir/example-$name" "./$ex"
+    if ! "$explain_dir/example-$name" >"$explain_dir/example-$name.out" 2>&1; then
+        echo "example $name failed:" >&2
+        cat "$explain_dir/example-$name.out" >&2
+        exit 1
+    fi
+    echo "example $name: OK"
+done
+
 # Smoke the specialized-monitor fast path: under -engine auto the
 # unambiguous queue/stack examples must be decided by the O(n log n)
 # monitor (the dispatch counter moves) with unchanged verdicts — the

@@ -49,26 +49,19 @@ func (e *Explanation) NumEvents() int {
 // by Witness[k]. On Sat this is the surjection required by H ⊑CAL T
 // (Definition 5); on Unsat/Unknown it covers only the partial witness.
 //
-// The mapping is reconstructed positionally: linearization respects the
-// real-time order, and a thread's operations are totally ordered by it,
-// so the i-th element mentioning thread t absorbed t's i-th operation.
+// The mapping is the forced one of trace.Assign: linearization respects
+// the real-time order, and a thread's operations are totally ordered by
+// it, so the i-th element mentioning thread t absorbed t's i-th operation.
 func (e *Explanation) ElementOps() [][]int {
-	next := make(map[history.ThreadID]int) // thread -> next unmatched index into byThread
-	byThread := make(map[history.ThreadID][]int)
-	for i, op := range e.Ops {
-		byThread[op.Thread] = append(byThread[op.Thread], i)
-	}
-	out := make([][]int, len(e.Witness))
-	for k, el := range e.Witness {
-		idx := make([]int, 0, len(el.Ops))
-		for _, top := range el.Ops {
-			seq := byThread[top.Thread]
-			if p := next[top.Thread]; p < len(seq) {
-				idx = append(idx, seq[p])
-				next[top.Thread] = p + 1
+	out := trace.Assign(e.Ops, e.Witness)
+	for k, idx := range out {
+		kept := idx[:0]
+		for _, i := range idx {
+			if i >= 0 {
+				kept = append(kept, i)
 			}
 		}
-		out[k] = idx
+		out[k] = kept
 	}
 	return out
 }

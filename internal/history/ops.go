@@ -65,11 +65,12 @@ func (h History) Operations() []Op {
 // real-time order ≺H (Definition 3): a's response occurs before b's
 // invocation. A pending operation never precedes anything; every operation
 // whose response precedes a pending operation's invocation precedes it.
-func PrecedesRT(a, b Op) bool {
-	if a.Pending {
-		return false
-	}
-	return a.ResIndex < b.InvIndex
+func PrecedesRT(a, b Op) bool { return precedesRT(&a, &b) }
+
+// precedesRT is PrecedesRT on pointers, so that RTOrder's n² tests copy no
+// Op.
+func precedesRT(a, b *Op) bool {
+	return !a.Pending && a.ResIndex < b.InvIndex
 }
 
 // Concurrent reports whether operations a and b overlap (neither really
@@ -79,17 +80,18 @@ func Concurrent(a, b Op) bool {
 }
 
 // RTOrder computes the real-time order over the given operations as an
-// adjacency matrix: order[i][j] is true iff ops[i] ≺H ops[j].
+// adjacency matrix: order[i][j] is true iff ops[i] ≺H ops[j]. The rows
+// share one n×n backing array.
 func RTOrder(ops []Op) [][]bool {
 	n := len(ops)
 	order := make([][]bool, n)
+	cells := make([]bool, n*n)
 	for i := range order {
-		order[i] = make([]bool, n)
-		for j := range order[i] {
-			if i != j {
-				order[i][j] = PrecedesRT(ops[i], ops[j])
-			}
+		row := cells[i*n : (i+1)*n : (i+1)*n]
+		for j := range row {
+			row[j] = i != j && precedesRT(&ops[i], &ops[j])
 		}
+		order[i] = row
 	}
 	return order
 }

@@ -2,10 +2,11 @@ package render
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strings"
 
 	"calgo/internal/check"
-	"calgo/internal/history"
 	"calgo/internal/sched"
 )
 
@@ -54,21 +55,29 @@ func DOT(ex *check.Explanation) string {
 	}
 
 	// Real-time order ≺H, transitively reduced so the picture stays a
-	// Hasse diagram rather than a clique chain.
-	rt := history.RTOrder(ex.Ops)
-	n := len(ex.Ops)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if !rt[i][j] {
-				continue
-			}
-			covered := false
-			for k := 0; k < n && !covered; k++ {
-				covered = rt[i][k] && rt[k][j]
-			}
-			if !covered {
-				fmt.Fprintf(&b, "  op%d -> op%d;\n", i, j)
-			}
+	// Hasse diagram rather than a clique chain. ≺H is an interval order,
+	// so i -> j is a covering edge iff j is invoked after i responds and
+	// before the earliest response among the operations invoked after i
+	// responds. Ops are in invocation order: those j are one run of ops,
+	// found by a binary search and a suffix minimum of responses.
+	ops := ex.Ops
+	n := len(ops)
+	minRes := make([]int, n+1) // minRes[p]: earliest response among ops[p:]
+	minRes[n] = math.MaxInt
+	for p := n - 1; p >= 0; p-- {
+		minRes[p] = minRes[p+1]
+		if !ops[p].Pending && ops[p].ResIndex < minRes[p] {
+			minRes[p] = ops[p].ResIndex
+		}
+	}
+	for i := range ops {
+		if ops[i].Pending {
+			continue
+		}
+		res := ops[i].ResIndex
+		p := sort.Search(n, func(j int) bool { return ops[j].InvIndex > res })
+		for j := p; j < n && ops[j].InvIndex < minRes[p]; j++ {
+			fmt.Fprintf(&b, "  op%d -> op%d;\n", i, j)
 		}
 	}
 	b.WriteString("}\n")

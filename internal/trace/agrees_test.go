@@ -206,3 +206,62 @@ func TestAgreesLargeBalancedHistory(t *testing.T) {
 		t.Fatalf("balanced history should agree: %v", err)
 	}
 }
+
+// swapRounds is the sequential run of rounds swap pairs between threads 1
+// and 2, with its agreeing trace.
+func swapRounds(rounds int) (history.History, Trace) {
+	var h history.History
+	var tr Trace
+	for i := 0; i < rounds; i++ {
+		v := int64(2 * i)
+		h = append(h,
+			history.Inv(1, objE, exch, history.Int(v)),
+			history.Inv(2, objE, exch, history.Int(v+1)),
+			history.Res(1, objE, exch, history.Pair(true, v+1)),
+			history.Res(2, objE, exch, history.Pair(true, v)),
+		)
+		tr = append(tr, swapElem(1, v, 2, v+1))
+	}
+	return h, tr
+}
+
+func TestAgreesAllocsIndependentOfLength(t *testing.T) {
+	allocs := func(ops int) float64 {
+		h, tr := swapRounds(ops / 2)
+		return testing.AllocsPerRun(5, func() {
+			if err := Agrees(h, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(100), allocs(10000); small != large {
+		t.Errorf("Agrees allocates %v times at 100 operations and %v at 10,000", small, large)
+	}
+}
+
+func TestAgreesDiagnostics(t *testing.T) {
+	// A value mismatch names the element and both operations.
+	err := Agrees(fig3H1(), Trace{swapElem(1, 3, 2, 5), failElem(3, 7)})
+	if err == nil {
+		t.Fatal("trace with a wrong return value agrees")
+	}
+	for _, want := range []string{
+		"element 1 of 2",
+		"(t1, exchange(3) ▷ (true,5))",   // the element's operation
+		"(t1, E.exchange(3) ▷ (true,4))", // the history's
+	} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("value mismatch %q does not name %q", err, want)
+		}
+	}
+
+	// A real-time violation names the operation that responded first and
+	// its element: in H2, t1 responds before t3 is invoked.
+	err = Agrees(fig3H2(), Trace{failElem(3, 7), swapElem(1, 3, 2, 4)})
+	if err == nil {
+		t.Fatal("H2 agrees with fail·swap")
+	}
+	if want := "(t1, E.exchange(3) ▷ (true,4)) (element 2 of 2) responded before"; !strings.Contains(err.Error(), want) {
+		t.Errorf("real-time violation %q does not name %q", err, want)
+	}
+}

@@ -3,6 +3,12 @@
 // CA-traces (Definition 5). A CA-trace is a sequence of CA-elements, each
 // pairing an object with a non-empty set of operations that "seem to take
 // effect simultaneously".
+//
+// Definition 5's surjection needs no search. A thread's operations are
+// totally ordered by ≺H and a CA-element holds at most one operation per
+// thread, so thread t's k-th operation can only go to the k-th element
+// that mentions t. Assign builds that one candidate, and Agrees checks it
+// in time linear in the history and the trace.
 package trace
 
 import (
