@@ -249,6 +249,12 @@ print("monitor fast path: %d runs all dispatched, zero DFS fallbacks" % len(sys.
 echo "== calfuzz -soak-stream msqueue vs DFS =="
 go run ./cmd/calfuzz -soak-stream 2000 -object msqueue -engine dfs
 
+# The same soak over live priority-queue runs: each is streamed through
+# the pqueue replay stepper, whose exact fallback is the DFS over the
+# buffered prefix, and checked against the batch DFS.
+echo "== calfuzz -soak-stream pqueue vs DFS =="
+go run ./cmd/calfuzz -soak-stream 2000 -object pqueue -engine dfs
+
 # Smoke the ops endpoint: calexplore under -serve must announce its
 # address on stderr, serve parseable Prometheus exposition on /metrics
 # (with the exploration's own counters) and a calgo.statusz/v1 document
@@ -609,14 +615,15 @@ echo "cald smoke: round trip, cache hit, long-poll, 429 backoff, drain + journal
 # stream against cald with a tiny fallback window, watch it over SSE
 # while feeding a long pristine prefix (forcing the decided prefix to be
 # shed) and then a known queue defect. The SSE watcher must deliver
-# VIOLATION-at-event-k at the exact defect index, and /metrics must
-# expose the shedding as calgo_stream_shed_total > 0.
+# VIOLATION-at-event-k at the exact defect index, /metrics must expose
+# the shedding as calgo_stream_shed_total > 0, and once the stream is
+# closed its run record on /runsz must name the path that decided it.
 echo "== cald /streams SSE smoke =="
 start_cald "$explain_dir/cald4.log" -stream-window 32 -stream-check-every 8
 url4="$cald_url"
 pid4="$cald_pid"
 python3 -c '
-import json, sys, threading, urllib.request
+import json, sys, threading, time, urllib.request
 base = sys.argv[1].rstrip("/")
 
 req = urllib.request.Request(base + "/streams",
@@ -671,7 +678,21 @@ for line in text.splitlines():
         break
 else:
     raise AssertionError("calgo_stream_shed_total missing from /metrics")
-print("streaming smoke: VIOLATION-at-event-163 over SSE, shed prefix counted on /metrics")
+
+# Close the stream: cald publishes its run record in the background.
+closed = json.load(urllib.request.urlopen(
+    urllib.request.Request(base + "/streams/" + sid + "/close", data=b""), timeout=10))
+assert closed["state"] == "closed" and closed["verdict"]["final"], closed
+deadline = time.time() + 10
+while True:
+    recs = [r for r in json.load(urllib.request.urlopen(base + "/runsz?label=mode:stream", timeout=10))
+            if r["report"]["runs"][0]["name"] == sid]
+    if recs:
+        break
+    assert time.time() < deadline, "closed stream %s never reached /runsz" % sid
+    time.sleep(0.05)
+assert recs[0]["labels"]["engine"] == "monitor:queue", recs[0]["labels"]
+print("streaming smoke: VIOLATION-at-event-163 over SSE, shed prefix counted on /metrics, run record engine monitor:queue")
 ' "$url4"
 kill -TERM "$pid4"
 wait "$pid4"

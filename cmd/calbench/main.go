@@ -33,8 +33,8 @@
 // The shared observability flags apply to the benchmark process itself:
 // -timeout hard-caps the whole run (an expired run prints UNKNOWN and
 // exits 3 with whatever tables completed), -metrics-json writes a
-// summary of the sweeps (tables, cells, peak rates, memstats) and -pprof
-// serves net/http/pprof for profiling the contended structures. -workers,
+// summary of the sweeps (tables, cells, peak rates, memstats) and -serve
+// mounts /debug/pprof/ for profiling the contended structures. -workers,
 // -trace and -progress have no effect here: the sweeps size themselves
 // from -max-goroutines and run no checker search. Run with -h for the
 // exit-code legend.

@@ -24,10 +24,10 @@
 //
 // Observability: -metrics-json writes the search counters as JSON when
 // done, -trace streams sampled search events and dumps a flight-recorder
-// ring on VIOLATION/UNKNOWN, -progress prints live status lines, -pprof
-// serves net/http/pprof, and -serve exposes the live ops endpoint
-// (/metrics Prometheus exposition, /statusz live run status, /flightz,
-// /runsz). Diagnostics are structured log lines shaped by -log-level and
+// ring on VIOLATION/UNKNOWN, -progress prints live status lines, and
+// -serve exposes the live ops endpoint (/metrics Prometheus exposition,
+// /statusz live run status, /flightz, /runsz, and /debug/pprof/ for
+// profiles). Diagnostics are structured log lines shaped by -log-level and
 // -log-format. Run with -h for the exit-code legend.
 //
 // Explainability: -explain renders a per-thread timeline of every

@@ -193,7 +193,7 @@ func run() int {
 		Logger:         logger,
 		OnClose: func(d jobs.StreamDoc) {
 			ops.AddRecord(runRecord(d.ID, d.Verdict.Status.String(), d.Verdict.String(),
-				d.Request.Spec, "stream", d.Request.Engine, d.Request.Object, d.Client))
+				d.Request.Spec, "stream", d.Verdict.Engine, d.Request.Object, d.Client))
 		},
 	})
 

@@ -29,18 +29,22 @@
 //
 // -soak-stream N switches to the streaming soak: instead of batched
 // checks, each fuzzed history is fed event-by-event through an online
-// checker (calgo.NewStream, tuned by -stream-engine, -stream-window and
+// checker (calgo.NewStream, tuned by -stream-window and
 // -stream-check-every), every other run gets one response corrupted,
 // and every streaming verdict is cross-validated against the batch CAL
 // verdict of the same history — Violation exactly where the batch says
-// UNSAT, never on a history the batch accepts.
+// UNSAT, never on a history the batch accepts. The stream decides each
+// object by its spec: msqueue, elimstack and pqueue runs go through a
+// monitor stepper, which falls back to the exact DFS on the buffered
+// prefix when it punts; the other objects run the windowed DFS re-check.
+// -engine picks only the batch side of the comparison.
 //
 // Observability: -metrics-json aggregates the CAL checkers' counters
 // across every batch into one JSON document, -trace streams sampled
 // search events and dumps a flight-recorder ring when a run fails or is
-// inconclusive, -pprof serves net/http/pprof, and -serve exposes the
-// live ops endpoint (/metrics Prometheus exposition, /statusz live run
-// status, /flightz, /runsz). Diagnostics are structured log lines shaped
+// inconclusive, and -serve exposes the live ops endpoint (/metrics
+// Prometheus exposition, /statusz live run status, /flightz, /runsz,
+// and /debug/pprof/ for profiles). Diagnostics are structured log lines shaped
 // by -log-level and -log-format. Run with -h for the exit-code legend.
 package main
 

@@ -270,10 +270,13 @@ type searcher struct {
 	livePub   int // states already published to live
 	hElemSize *obs.Histogram
 
-	// Scratch freelists: dfs needs a private ready snapshot and subset
-	// buffer per node, tryElement a trace.Operation buffer per attempt;
-	// recycled so the hot path stops allocating.
-	readyFree  [][]int32
+	// Scratch: dfs needs a private ready snapshot and subset buffer per
+	// node, tryElement a trace.Operation buffer per attempt. Each node's
+	// ready snapshot is a segment of readyStack, pushed on entry and
+	// popped on return; an append that reallocates leaves outer frames
+	// reading their old, unchanged segment. The other buffers are
+	// recycled through freelists, so the hot path stops allocating.
+	readyStack []int32
 	subsetFree [][]int32
 	opsFree    [][]trace.Operation
 
@@ -507,18 +510,6 @@ func (s *searcher) unlinearize(i int) {
 	}
 }
 
-// getReadyBuf returns a recycled snapshot buffer for the ready set.
-func (s *searcher) getReadyBuf() []int32 {
-	if n := len(s.readyFree); n > 0 {
-		b := s.readyFree[n-1]
-		s.readyFree = s.readyFree[:n-1]
-		return b[:0]
-	}
-	return make([]int32, 0, len(s.ops))
-}
-
-func (s *searcher) putReadyBuf(b []int32) { s.readyFree = append(s.readyFree, b) }
-
 // getSubsetBuf returns a recycled candidate-subset buffer. Its capacity is
 // maxElem and enumerate never grows past it, so append never reallocates.
 func (s *searcher) getSubsetBuf() []int32 {
@@ -592,17 +583,19 @@ func (s *searcher) dfs(st spec.State) (bool, error) {
 		return false, &abortError{cause: fmt.Errorf("%w (limit %d)", ErrBound, s.cfg.maxStates)}
 	}
 
-	// Snapshot the ready set: the recursion below mutates it in place,
-	// and linearize/unlinearize restore it only as a set — ascending
-	// order keeps the enumeration deterministic.
-	ready := append(s.getReadyBuf(), s.ready...)
+	// Snapshot the ready set onto the stack: the recursion below mutates
+	// it in place, and linearize/unlinearize restore it only as a set —
+	// ascending order keeps the enumeration deterministic.
+	base := len(s.readyStack)
+	s.readyStack = append(s.readyStack, s.ready...)
+	ready := s.readyStack[base:]
 	slices.Sort(ready)
 	subset := s.getSubsetBuf()
 	// Enumerate candidate subsets of ready operations sharing an object,
 	// pairwise concurrent, of size 1..maxElem.
 	ok, err := s.enumerate(st, ready, subset, 0)
 	s.putSubsetBuf(subset)
-	s.putReadyBuf(ready)
+	s.readyStack = s.readyStack[:base]
 	if err != nil {
 		return false, err
 	}

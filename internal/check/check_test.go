@@ -3,10 +3,12 @@ package check
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
 	"calgo/internal/history"
+	"calgo/internal/monitor"
 	"calgo/internal/spec"
 	"calgo/internal/trace"
 )
@@ -359,5 +361,44 @@ func TestCALWitnessInvariants(t *testing.T) {
 	}
 	if r.States == 0 {
 		t.Error("search should visit at least one state")
+	}
+}
+
+// bytesPerRun is the heap allocated per call of fn, averaged over runs.
+func bytesPerRun(runs int, fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestDFSReadySnapshotsShareOneStack pins the memory of the ready-set
+// snapshots: every search depth snapshots the ready set, and a deep
+// search over a narrow history must keep those snapshots on one stack,
+// not in a buffer of len(ops) per depth (n × n int32s, 4 MB at n = 1,000,
+// on top of everything else). Everything a check allocates besides the
+// real-time order matrix must stay below that matrix of buffers.
+func TestDFSReadySnapshotsShareOneStack(t *testing.T) {
+	h := monitor.GenQueue(1000, 4, 1, "q")
+	c, err := NewChecker(spec.NewQueue("q"), WithEngine(EngineDFS))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := h.Operations()
+	n := uint64(len(ops))
+	perCheck := bytesPerRun(2, func() {
+		res, err := c.Check(context.Background(), h)
+		if err != nil || res.Verdict != Sat {
+			t.Fatalf("Check = %v, %v; want Sat", res.Verdict, err)
+		}
+	})
+	rt := bytesPerRun(2, func() { _ = history.RTOrder(ops) })
+	if rest, bound := perCheck-rt, 4*n*n; rest >= bound {
+		t.Fatalf("a %d-op DFS check allocates %d B besides its %d B real-time order; want < %d B",
+			n, rest, rt, bound)
 	}
 }

@@ -2,8 +2,8 @@
 // conventions shared by the calgo CLIs (calcheck, calexplore, calfuzz,
 // calbench, calreport), so the tools stay uniform: the same flag names
 // mean the same thing everywhere, every tool documents the exit-code
-// legend in its -h output, and -metrics-json/-trace/-progress/-pprof/
-// -serve/-log-level/-log-format behave identically.
+// legend in its -h output, and -metrics-json/-trace/-progress/-serve/
+// -log-level/-log-format behave identically.
 //
 // Usage, in a tool's main:
 //
@@ -25,9 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net"
-	"net/http"
-	_ "net/http/pprof" // -pprof serves the default mux
 	"os"
 	"os/signal"
 	"strings"
@@ -82,7 +79,6 @@ type Set struct {
 	metricsJSON *string
 	tracePath   *string
 	progress    *bool
-	pprofAddr   *string
 	explain     *bool
 	dotPath     *string
 	reportPath  *string
@@ -92,8 +88,7 @@ type Set struct {
 	logLevel    *string
 	logFormat   *string
 
-	streamEngineName *string // nil unless RegisterStream was called
-	streamWindow     *int
+	streamWindow     *int // nil unless RegisterStream was called
 	streamCheckEvery *int
 
 	start     time.Time
@@ -102,8 +97,7 @@ type Set struct {
 	logTracer *calgo.LogTracer
 	traceFile *os.File // nil when tracing to stderr or disabled
 
-	engine       calgo.Engine       // parsed -engine, valid after Start
-	streamEngine calgo.StreamEngine // parsed -stream-engine, valid after Start
+	engine calgo.Engine // parsed -engine, valid after Start
 
 	live        *calgo.LiveRun
 	ops         *calgo.OpsServer
@@ -124,7 +118,6 @@ func Register(tool string) *Set {
 		metricsJSON: flag.String("metrics-json", "", "write the metrics registry as JSON to this path when done (\"-\" = stdout)"),
 		tracePath:   flag.String("trace", "", "write sampled search-trace JSON lines to this path (\"-\" = stderr) and dump a flight-recorder ring on VIOLATION/UNKNOWN"),
 		progress:    flag.Bool("progress", false, "report live progress (states, states/sec, budget ETA) to stderr every second"),
-		pprofAddr:   flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the run's duration"),
 		explain:     flag.Bool("explain", false, "render the evidence behind each verdict: a per-thread timeline with concurrency windows and, on VIOLATION, the first blocked operation"),
 		dotPath:     flag.String("dot", "", "write a Graphviz DOT rendering of the worst verdict's evidence to this path (\"-\" = stdout)"),
 		reportPath:  flag.String("report", "", "write a self-contained calgo.report/v1 run report to this path (\"-\" = stdout as JSON; a .md path renders Markdown)"),
@@ -148,7 +141,6 @@ func RegisterOps(tool string) *Set {
 		metricsJSON: new(string),
 		tracePath:   new(string),
 		progress:    new(bool),
-		pprofAddr:   new(string),
 		explain:     new(bool),
 		dotPath:     new(string),
 		reportPath:  new(string),
@@ -163,7 +155,7 @@ func RegisterOps(tool string) *Set {
 // registerOps defines the ops-endpoint and logging flags shared by
 // Register and RegisterOps.
 func (s *Set) registerOps() {
-	s.serveAddr = flag.String("serve", "", "serve the embedded ops endpoint on this address (e.g. localhost:8080; \":0\" picks a port): /metrics (Prometheus), /statusz (live status; ?watch=1 streams), /flightz, /runsz, /debug/pprof/")
+	s.serveAddr = flag.String("serve", "", "serve the embedded ops endpoint on this address (e.g. localhost:8080; \":0\" picks a port): /metrics (Prometheus), /statusz (live status; ?watch=1 streams), /flightz, /runsz, /debug/pprof/, /debug/vars")
 	s.serveLinger = flag.Duration("serve-linger", 0, "keep the -serve ops server up this long after the run finishes, so late scrapes and watchers see the final state")
 	s.logLevel = flag.String("log-level", "info", "diagnostic log level: debug, info, warn or error")
 	s.logFormat = flag.String("log-format", "text", "diagnostic log format: text or json")
@@ -180,13 +172,11 @@ func wrapUsage() {
 	}
 }
 
-// RegisterStream defines the streaming-checker flags — -stream-engine,
-// -stream-window and -stream-check-every — for tools with an online
-// checking mode (calfuzz -soak-stream). Call between Register and
-// flag.Parse; Start validates -stream-engine. StreamOptions hands out
-// the matching facade options.
+// RegisterStream defines the streaming-checker flags — -stream-window
+// and -stream-check-every — for tools with an online checking mode
+// (calfuzz -soak-stream). Call between Register and flag.Parse.
+// StreamOptions hands out the matching facade options.
 func (s *Set) RegisterStream() {
-	s.streamEngineName = flag.String("stream-engine", "auto", "streaming engine: auto (incremental monitors with windowed-DFS fallback), dfs (always re-check the window), monitor (never fall back; undecidable streams degrade to UNKNOWN)")
 	s.streamWindow = flag.Int("stream-window", calgo.DefaultStreamWindow, "events buffered per object for fallback re-checking; streams that outgrow the window degrade honestly instead of weakening verdicts")
 	s.streamCheckEvery = flag.Int("stream-check-every", calgo.DefaultStreamCheckEvery, "fallback re-check cadence in buffered events (and replay-stepper operations)")
 }
@@ -196,15 +186,10 @@ func (s *Set) RegisterStream() {
 // RegisterStream was not called.
 func (s *Set) StreamOptions() []calgo.Option {
 	return []calgo.Option{
-		calgo.WithStreamEngine(s.streamEngine),
 		calgo.WithStreamWindow(*s.streamWindow),
 		calgo.WithStreamCheckEvery(*s.streamCheckEvery),
 	}
 }
-
-// StreamEngine returns the parsed -stream-engine selection. Valid after
-// Start, for tools that report the effective engine.
-func (s *Set) StreamEngine() calgo.StreamEngine { return s.streamEngine }
 
 // Workers returns the -workers value (0 = GOMAXPROCS).
 func (s *Set) Workers() int { return *s.workers }
@@ -298,9 +283,9 @@ func NewLogger(tool, level, format string) (*slog.Logger, error) {
 }
 
 // Start materializes the observability flags: builds the logger, opens
-// the trace sink, creates the metrics registry, starts the pprof and
-// ops servers. Errors are usage/environment errors (exit 2). Call
-// after flag.Parse and pair with Close.
+// the trace sink, creates the metrics registry, starts the ops server.
+// Errors are usage/environment errors (exit 2). Call after flag.Parse
+// and pair with Close.
 func (s *Set) Start() error {
 	s.start = time.Now()
 	if err := s.buildLogger(); err != nil {
@@ -311,13 +296,6 @@ func (s *Set) Start() error {
 		return fmt.Errorf("bad -engine: %w", err)
 	}
 	s.engine = eng
-	if s.streamEngineName != nil {
-		seng, err := calgo.ParseStreamEngine(*s.streamEngineName)
-		if err != nil {
-			return fmt.Errorf("bad -stream-engine: %w", err)
-		}
-		s.streamEngine = seng
-	}
 	if *s.metricsJSON != "" || *s.reportPath != "" {
 		// A report always embeds a metrics snapshot, so -report implies a
 		// registry even without -metrics-json.
@@ -338,27 +316,6 @@ func (s *Set) Start() error {
 		// The report's flight-recorder tail needs a ring even when no
 		// trace sink was requested.
 		s.flight = calgo.NewFlightRecorder(FlightEvents)
-	}
-	if *s.pprofAddr != "" {
-		if s.metrics == nil {
-			// The debug server's /debug/vars page is the natural place to
-			// watch the run's counters live, so -pprof implies a registry
-			// even without -metrics-json.
-			s.metrics = calgo.NewMetrics()
-		}
-		if err := s.metrics.PublishExpvar("calgo"); err != nil {
-			return err
-		}
-		ln, err := net.Listen("tcp", *s.pprofAddr)
-		if err != nil {
-			return fmt.Errorf("starting pprof server: %w", err)
-		}
-		s.Logger().Info("pprof serving",
-			"url", fmt.Sprintf("http://%s/debug/pprof/", ln.Addr()),
-			"vars", fmt.Sprintf("http://%s/debug/vars", ln.Addr()))
-		go func() {
-			_ = http.Serve(ln, nil) // default mux; net/http/pprof registered
-		}()
 	}
 	if *s.serveAddr != "" {
 		if s.metrics == nil {

@@ -52,7 +52,7 @@ func TestRegisterDefinesSharedFlags(t *testing.T) {
 	resetFlags(t)
 	Register("testtool")
 	for _, name := range []string{
-		"workers", "timeout", "metrics-json", "trace", "progress", "pprof",
+		"workers", "timeout", "metrics-json", "trace", "progress",
 		"explain", "dot", "report",
 	} {
 		if flag.Lookup(name) == nil {
@@ -77,48 +77,30 @@ func TestUsageIncludesExitLegend(t *testing.T) {
 	}
 }
 
-// TestRegisterStreamFlags pins the streaming flag surface: the three
-// -stream-* flags register with documented defaults, Start validates
-// -stream-engine, and StreamOptions projects onto facade options that
-// NewStream accepts.
+// TestRegisterStreamFlags pins the streaming flag surface: the two
+// -stream-* flags register with documented defaults, and StreamOptions
+// projects onto facade options that NewStream accepts.
 func TestRegisterStreamFlags(t *testing.T) {
 	resetFlags(t)
 	s := Register("testtool")
 	s.RegisterStream()
-	for _, name := range []string{"stream-engine", "stream-window", "stream-check-every"} {
+	for _, name := range []string{"stream-window", "stream-check-every"} {
 		if flag.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
-	if err := flag.CommandLine.Parse([]string{"-stream-engine", "dfs", "-stream-window", "512"}); err != nil {
+	if err := flag.CommandLine.Parse([]string{"-stream-window", "512"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.StreamEngine() != calgo.StreamEngineDFS {
-		t.Errorf("StreamEngine() = %v, want dfs", s.StreamEngine())
-	}
 	st, err := calgo.NewStream(calgo.NewQueueSpec("q"), s.StreamOptions()...)
 	if err != nil {
 		t.Fatalf("NewStream rejected StreamOptions(): %v", err)
 	}
 	st.Close()
-}
-
-// TestStartRejectsBadStreamEngine: an unknown -stream-engine spelling is
-// a startup error, not a silent fallback.
-func TestStartRejectsBadStreamEngine(t *testing.T) {
-	resetFlags(t)
-	s := Register("testtool")
-	s.RegisterStream()
-	if err := flag.CommandLine.Parse([]string{"-stream-engine", "warp"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Start(); err == nil || !strings.Contains(err.Error(), "stream-engine") {
-		t.Fatalf("Start() = %v, want bad -stream-engine error", err)
-	}
 }
 
 // TestMetricsJSONStdout pins "-metrics-json -": counters recorded into

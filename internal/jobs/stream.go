@@ -29,15 +29,13 @@ const (
 )
 
 // StreamRequest opens a stream: the specification vocabulary is the one
-// the job API uses (SpecByName), plus streaming knobs.
+// the job API uses (SpecByName), plus streaming knobs. The spec alone
+// picks each object's decision path, which the verdict names.
 type StreamRequest struct {
 	// Spec/Object/Threads select the specification, as in Request.
 	Spec    string `json:"spec"`
 	Object  string `json:"object,omitempty"`
 	Threads int    `json:"threads,omitempty"`
-	// Engine selects the streaming decision path: auto (default), dfs,
-	// monitor.
-	Engine string `json:"engine,omitempty"`
 	// Window and CheckEvery override the server defaults; both are
 	// clamped by the server-wide maxima, never raised.
 	Window     int `json:"window,omitempty"`
@@ -179,11 +177,6 @@ func (m *StreamManager) Open(client string, req StreamRequest) (StreamDoc, error
 	if err != nil {
 		return StreamDoc{}, &RequestError{Err: err}
 	}
-	eng, err := stream.ParseEngine(req.Engine)
-	if err != nil {
-		return StreamDoc{}, &RequestError{Err: err}
-	}
-	req.Engine = eng.String()
 	if req.Object == "" {
 		req.Object = "E"
 	}
@@ -196,7 +189,6 @@ func (m *StreamManager) Open(client string, req StreamRequest) (StreamDoc, error
 	s, err := stream.New(sp, stream.Config{
 		Window:     req.Window,
 		CheckEvery: req.CheckEvery,
-		Engine:     eng,
 		Metrics:    m.cfg.Metrics,
 	})
 	if err != nil {
@@ -235,7 +227,7 @@ func (m *StreamManager) Open(client string, req StreamRequest) (StreamDoc, error
 	m.cOpened.Inc()
 	m.gOpen.Set(int64(m.live()))
 	m.log.Info("stream opened", "id", id, "client", client,
-		"spec", req.Spec, "engine", req.Engine, "window", req.Window)
+		"spec", req.Spec, "engine", doc.Verdict.Engine, "window", req.Window)
 	return doc, nil
 }
 

@@ -91,7 +91,7 @@ func TestStreamHTTPLifecycle(t *testing.T) {
 	if f.Schema != StreamSchema || f.ID == "" || f.State != StreamOpen {
 		t.Fatalf("opened stream frame = %+v", f)
 	}
-	if f.Verdict.Status != "sat-so-far" || f.Request.Engine != "auto" {
+	if f.Verdict.Status != "sat-so-far" || f.Verdict.Engine != "monitor:queue" {
 		t.Fatalf("fresh stream verdict = %+v", f.Verdict)
 	}
 
@@ -240,24 +240,34 @@ func TestStreamHTTPOpenBound(t *testing.T) {
 	}
 }
 
-// TestStreamHTTPRequestErrors: bad spec / engine / batch are 400s,
-// unknown streams are 404s, and draining is a 503.
+// TestStreamHTTPRequestErrors: bad spec / batch are 400s, unknown
+// streams are 404s, and draining is a 503. An open body that still sends
+// an engine member is decoded without it: the spec picks the path.
 func TestStreamHTTPRequestErrors(t *testing.T) {
 	m, srv := newStreamServer(t, StreamConfig{})
 
-	for _, req := range []StreamRequest{
-		{Spec: "no-such-spec"},
-		{Spec: "queue", Engine: "warp"},
-	} {
-		resp := openStream(t, srv.URL, req)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("open %+v status = %d, want 400", req, resp.StatusCode)
+	resp := openStream(t, srv.URL, StreamRequest{Spec: "no-such-spec"})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("open of an unknown spec: status = %d, want 400", resp.StatusCode)
+	}
+
+	for _, body := range []string{`{"spec":"queue","engine":"dfs"}`, `{"spec":"queue","engine":"warp"}`} {
+		resp, err := http.Post(srv.URL+"/streams", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusCreated {
+			resp.Body.Close()
+			t.Fatalf("open %s: status = %d, want 201", body, resp.StatusCode)
+		}
+		if f := decodeFrame(t, resp); f.Verdict.Engine != "monitor:queue" {
+			t.Errorf("open %s: engine %q, want monitor:queue", body, f.Verdict.Engine)
 		}
 	}
 
 	f := decodeFrame(t, openStream(t, srv.URL, StreamRequest{Spec: "queue"}))
-	resp := postBatch(t, srv.URL, f.ID, "inv t1 E.enq not-a-value garbage here\n")
+	resp = postBatch(t, srv.URL, f.ID, "inv t1 E.enq not-a-value garbage here\n")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed batch status = %d, want 400", resp.StatusCode)

@@ -169,34 +169,30 @@ func decideQueue(h history.History, ops []history.Op) Result {
 	st := newQueueStepper()
 	r := stepOK
 	for i := range h {
-		if r = st.Advance(h[i], i); r.Outcome != StepOK {
+		if r = st.Advance(h[i], i); r.Outcome != OK {
 			break
 		}
 	}
-	if r.Outcome == StepOK {
+	if r.Outcome == OK {
 		r = st.Finish()
 	}
 	switch r.Outcome {
-	case StepOK:
+	case OK:
 		return Result{Kind: KindQueue, Outcome: OK, Ops: ops}
-	case StepViolation:
+	case Violation:
 		if ev := h[r.AtEvent]; ev.Ret.Kind == history.KindPair && ev.Ret.B {
 			if sv := vals[ev.Ret.N]; sv.enq && sv.eInv > r.AtEvent {
 				return violation(KindQueue, ops,
 					"Q1: deq ▷ %d completes at %d before enq(%d) is invoked at %d", ev.Ret.N, r.AtEvent, ev.Ret.N, sv.eInv)
 			}
 		}
-		return Result{Kind: KindQueue, Outcome: Violation, Reason: r.Reason, Ops: ops}
-	case StepIneligible:
-		return Result{Kind: KindQueue, Outcome: Ineligible, Reason: r.Reason, Ops: ops}
-	default:
-		return Result{Kind: KindQueue, Outcome: Inconclusive, Reason: r.Reason, Ops: ops}
 	}
+	return Result{Kind: KindQueue, Outcome: r.Outcome, Reason: r.Reason, Ops: ops}
 }
 
 func (s *queueStepper) Kind() Kind { return KindQueue }
 
-func (s *queueStepper) fail(o StepOutcome, at int, format string, args ...any) StepResult {
+func (s *queueStepper) fail(o Outcome, at int, format string, args ...any) StepResult {
 	res := StepResult{Outcome: o, Reason: fmt.Sprintf(format, args...), AtEvent: at}
 	s.done = &res
 	return res
@@ -214,31 +210,31 @@ func (s *queueStepper) Advance(ev history.Event, idx int) StepResult {
 		// pending operation; the failure is sticky, so the loss is moot.
 		n := len(s.pend)
 		if s.pend[ev.Thread] = (stepPending{method: ev.Method, arg: ev.Arg, inv: idx}); len(s.pend) == n {
-			return s.fail(StepIneligible, idx, "thread %s invokes %s while an operation is pending", ev.Thread, ev.Method)
+			return s.fail(Ineligible, idx, "thread %s invokes %s while an operation is pending", ev.Thread, ev.Method)
 		}
 		switch ev.Method {
 		case spec.MethodEnq:
 			if ev.Arg.Kind != history.KindInt {
-				return s.fail(StepIneligible, idx, "enq at inv=%d is not int ▷ true", idx)
+				return s.fail(Ineligible, idx, "enq at inv=%d is not int ▷ true", idx)
 			}
 			v := ev.Arg.N
 			if _, dup := s.vals[v]; dup {
-				return s.fail(StepIneligible, idx, "value %d enqueued more than once (ambiguous history)", v)
+				return s.fail(Ineligible, idx, "value %d enqueued more than once (ambiguous history)", v)
 			}
 			s.vals[v] = qsVal{eInv: idx, eRes: -1, dInv: -1}
 		case spec.MethodDeq:
 			if ev.Arg.Kind != history.KindUnit {
-				return s.fail(StepIneligible, idx, "deq at inv=%d is not () ▷ (bool,int)", idx)
+				return s.fail(Ineligible, idx, "deq at inv=%d is not () ▷ (bool,int)", idx)
 			}
 			s.pendingDeq.push(idx)
 		default:
-			return s.fail(StepIneligible, idx, "unknown queue method %s", ev.Method)
+			return s.fail(Ineligible, idx, "unknown queue method %s", ev.Method)
 		}
 		s.pendingInv.push(idx)
 	case history.Respond:
 		p, ok := s.pend[ev.Thread]
 		if !ok || p.method != ev.Method {
-			return s.fail(StepIneligible, idx, "response %s on thread %s does not match a pending invocation", ev.Method, ev.Thread)
+			return s.fail(Ineligible, idx, "response %s on thread %s does not match a pending invocation", ev.Method, ev.Thread)
 		}
 		delete(s.pend, ev.Thread)
 		s.pendingInv.resolve(p.inv)
@@ -251,24 +247,24 @@ func (s *queueStepper) Advance(ev history.Event, idx int) StepResult {
 			s.pendingDeq.resolve(p.inv)
 			res = s.deqDone(p, ev, idx)
 		default:
-			res = s.fail(StepIneligible, idx, "unknown queue method %s", ev.Method)
+			res = s.fail(Ineligible, idx, "unknown queue method %s", ev.Method)
 		}
-		if res.Outcome != StepOK {
+		if res.Outcome != OK {
 			return res
 		}
-		if res = s.drainDeferred(); res.Outcome != StepOK {
+		if res = s.drainDeferred(); res.Outcome != OK {
 			return res
 		}
 		s.maybeShed()
 	default:
-		return s.fail(StepIneligible, idx, "unknown event kind %d", ev.Kind)
+		return s.fail(Ineligible, idx, "unknown event kind %d", ev.Kind)
 	}
 	return stepOK
 }
 
 func (s *queueStepper) enqDone(p stepPending, ev history.Event, idx int) StepResult {
 	if ev.Ret.Kind != history.KindBool || !ev.Ret.B {
-		return s.fail(StepIneligible, idx, "enq at inv=%d is not int ▷ true", p.inv)
+		return s.fail(Ineligible, idx, "enq at inv=%d is not int ▷ true", p.inv)
 	}
 	v := p.arg.N
 	qv := s.vals[v] // present: created at the invocation
@@ -290,12 +286,12 @@ func (s *queueStepper) enqDone(p stepPending, ev history.Event, idx int) StepRes
 
 func (s *queueStepper) deqDone(p stepPending, ev history.Event, idx int) StepResult {
 	if ev.Ret.Kind != history.KindPair {
-		return s.fail(StepIneligible, idx, "deq at inv=%d is not () ▷ (bool,int)", p.inv)
+		return s.fail(Ineligible, idx, "deq at inv=%d is not () ▷ (bool,int)", p.inv)
 	}
 	x, y := p.inv, idx
 	if !ev.Ret.B {
 		if ev.Ret.N != 0 {
-			return s.fail(StepViolation, idx,
+			return s.fail(Violation, idx,
 				"failed deq at inv=%d returns (false,%d); the spec admits only (false,0)", p.inv, ev.Ret.N)
 		}
 		s.deferred = append(s.deferred, qEmpty{x: x, y: y})
@@ -304,11 +300,11 @@ func (s *queueStepper) deqDone(p stepPending, ev history.Event, idx int) StepRes
 	v := ev.Ret.N
 	qv, ok := s.vals[v]
 	if !ok {
-		return s.fail(StepViolation, idx,
+		return s.fail(Violation, idx,
 			"Q0: deq ▷ %d completes at %d but no enqueue of %d is outstanding", v, idx, v)
 	}
 	if qv.dInv >= 0 {
-		return s.fail(StepIneligible, idx, "value %d dequeued more than once (ambiguous history)", v)
+		return s.fail(Ineligible, idx, "value %d dequeued more than once (ambiguous history)", v)
 	}
 	qv.dInv = x
 	d := qDeq{v: v, eInv: qv.eInv, dRes: y}
@@ -320,7 +316,7 @@ func (s *queueStepper) deqDone(p stepPending, ev history.Event, idx int) StepRes
 		// Q2 with this value as u: any FIFO-inverted w has already
 		// completed its dequeue (dRes_w ≤ dInv_u = x < now).
 		if w := s.deqMaxUpTo(x); w.eInv >= qv.eRes {
-			return s.fail(StepViolation, idx,
+			return s.fail(Violation, idx,
 				"Q2: FIFO inversion — enq(%d) completes at %d before enq(%d) starts at %d, but deq ▷ %d completes at %d before deq ▷ %d starts at %d",
 				v, qv.eRes, w.v, w.eInv, w.v, w.dRes, v, x)
 		}
@@ -387,11 +383,11 @@ func (s *queueStepper) drainDeferred() StepResult {
 		// Covered iff a merged core (matched cores plus [u, ∞) for the
 		// least unmatched eRes) spans [s, e] with s ≤ x and y ≤ e.
 		if u <= em.x {
-			return s.fail(StepViolation, em.y,
+			return s.fail(Violation, em.y,
 				"Q4: empty deq with window (%d, %d) is covered by sure-presence core [%d, ∞) — the queue is never empty there", em.x, em.y, u)
 		}
 		if comp, ok := s.cores.lastStartingAtOrBefore(em.x); ok && (comp.e >= em.y || u <= comp.e) {
-			return s.fail(StepViolation, em.y,
+			return s.fail(Violation, em.y,
 				"Q4: empty deq with window (%d, %d) is covered by sure-presence core [%d, %d] — the queue is never empty there", em.x, em.y, comp.s, comp.e)
 		}
 	}
@@ -452,7 +448,7 @@ func (s *queueStepper) Finish() StepResult {
 	}
 	if len(s.pend) > 0 {
 		res := StepResult{
-			Outcome: StepOK,
+			Outcome: OK,
 			Reason:  fmt.Sprintf("%d invocations pending at end of stream; final Q3/Q4 checks skipped", len(s.pend)),
 			AtEvent: -1,
 		}
@@ -460,13 +456,13 @@ func (s *queueStepper) Finish() StepResult {
 		return res
 	}
 	// No dequeues pending: every deferred empty window is final.
-	if res := s.drainDeferred(); res.Outcome != StepOK {
+	if res := s.drainDeferred(); res.Outcome != OK {
 		return res
 	}
 	// Q3: a matched value enqueued strictly after some unmatched value's
 	// enqueue completed — FIFO forces the unmatched value out first.
 	if u, w := s.minUnmatched(), s.maxMatched; u.eRes < infIdx && w.eInv > u.eRes {
-		return s.fail(StepViolation, s.lastIdx,
+		return s.fail(Violation, s.lastIdx,
 			"Q3: enq(%d) starts at %d, after unmatched enq(%d) completed at %d, yet %d is dequeued and %d never is",
 			w.v, w.eInv, u.v, u.eRes, w.v, u.v)
 	}

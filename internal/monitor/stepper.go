@@ -7,47 +7,22 @@ import (
 	"calgo/internal/spec"
 )
 
-// StepOutcome is the four-valued outcome of advancing a Stepper by one
-// event. It mirrors Outcome, but is reported per event: the first non-OK
-// outcome is sticky.
-type StepOutcome uint8
-
-const (
-	// StepOK: the event prefix seen so far passes every check run so far
-	// ("Sat-so-far" — incremental steppers have checked the full prefix,
-	// replay steppers the prefix through the last quiescent re-check).
-	StepOK StepOutcome = iota
-	// StepViolation: the prefix is not linearizable. Linearizability is
-	// closed under event-prefixes (pending invocations may be dropped or
-	// completed), so every extension is non-linearizable too.
-	StepViolation
-	// StepIneligible: the stream left the unambiguous fragment (malformed
-	// shapes, ambiguous values, mismatched responses). The caller must
-	// fall back to the general checker.
-	StepIneligible
-	// StepInconclusive: in the fragment but undecided (the stack
-	// monitor's greedy scheduler can punt). The caller must fall back.
-	StepInconclusive
-)
-
-// String returns the outcome's name.
-func (o StepOutcome) String() string {
-	switch o {
-	case StepOK:
-		return "ok"
-	case StepViolation:
-		return "violation"
-	case StepIneligible:
-		return "ineligible"
-	default:
-		return "inconclusive"
-	}
-}
-
 // StepResult reports one Advance or Finish call.
 type StepResult struct {
-	// Outcome is the sticky four-valued verdict.
-	Outcome StepOutcome
+	// Outcome is the sticky four-valued verdict, reported per event: the
+	// first non-OK outcome is final. OK means the event prefix seen so
+	// far passes every check run so far ("Sat-so-far": incremental
+	// steppers have checked the full prefix, replay steppers the prefix
+	// through the last quiescent re-check). Violation means the prefix is
+	// not linearizable; linearizability is closed under event prefixes
+	// (pending invocations may be dropped or completed), so every
+	// extension is non-linearizable too. Ineligible (the stream left the
+	// unambiguous fragment: malformed shapes, ambiguous values,
+	// mismatched responses) and Inconclusive (in the fragment but
+	// undecided, as when the stack monitor's greedy scheduler punts) tell
+	// the caller to fall back to the general checker. The zero value is
+	// Ineligible, so every result sets Outcome explicitly.
+	Outcome Outcome
 	// Reason explains any non-OK outcome (the bad pattern found, or why
 	// the stream left the monitored fragment). It may also annotate an OK
 	// Finish (e.g. noting that final checks were skipped on an incomplete
@@ -60,7 +35,7 @@ type StepResult struct {
 	AtEvent int
 }
 
-var stepOK = StepResult{Outcome: StepOK, AtEvent: -1}
+var stepOK = StepResult{Outcome: OK, AtEvent: -1}
 
 // StepStats is a point-in-time snapshot of a stepper's footprint.
 type StepStats struct {
@@ -109,7 +84,7 @@ type StepStats struct {
 //
 // Steppers assume the event stream is well-formed per thread (the stream
 // front-end's contract) and single-object; mismatched responses are
-// reported as StepIneligible, never panics.
+// reported as Ineligible, never panics.
 type Stepper interface {
 	// Advance feeds one event with its stream index (indices must be
 	// strictly increasing; they define the real-time order). After a
@@ -127,21 +102,15 @@ type Stepper interface {
 	Kind() Kind
 }
 
-// DefaultCheckEvery is the replay steppers' default re-check cadence, in
-// completed operations.
-const DefaultCheckEvery = 1024
-
 // NewStepper builds the incremental monitor for sp. checkEvery bounds how
-// often replay steppers re-run the batch monitor (<= 0 selects
-// DefaultCheckEvery); the queue stepper checks every event and ignores
-// it. Specs outside the monitored fragment (SpecKind == KindNone) error.
+// often replay steppers re-run the batch monitor, in completed
+// operations; a cadence below 1 re-checks at every quiescent cut. The
+// queue stepper checks every event and ignores it. Specs outside the
+// monitored fragment (SpecKind == KindNone) error.
 func NewStepper(sp spec.Spec, checkEvery int) (Stepper, error) {
 	kind := SpecKind(sp)
 	if kind == KindNone {
 		return nil, fmt.Errorf("monitor: specification %s has no specialized monitor", sp.Name())
-	}
-	if checkEvery <= 0 {
-		checkEvery = DefaultCheckEvery
 	}
 	if kind == KindQueue {
 		return newQueueStepper(), nil
@@ -179,7 +148,7 @@ type replayStepper struct {
 
 func (r *replayStepper) Kind() Kind { return r.kind }
 
-func (r *replayStepper) fail(o StepOutcome, at int, format string, args ...any) StepResult {
+func (r *replayStepper) fail(o Outcome, at int, format string, args ...any) StepResult {
 	res := StepResult{Outcome: o, Reason: fmt.Sprintf(format, args...), AtEvent: at}
 	r.done = &res
 	return res
@@ -194,13 +163,13 @@ func (r *replayStepper) Advance(ev history.Event, idx int) StepResult {
 	switch ev.Kind {
 	case history.Invoke:
 		if _, dup := r.pend[ev.Thread]; dup {
-			return r.fail(StepIneligible, idx, "thread %s invokes %s while an operation is pending", ev.Thread, ev.Method)
+			return r.fail(Ineligible, idx, "thread %s invokes %s while an operation is pending", ev.Thread, ev.Method)
 		}
 		r.pend[ev.Thread] = stepPending{method: ev.Method, arg: ev.Arg, inv: idx}
 	case history.Respond:
 		p, ok := r.pend[ev.Thread]
 		if !ok || p.method != ev.Method {
-			return r.fail(StepIneligible, idx, "response %s on thread %s does not match a pending invocation", ev.Method, ev.Thread)
+			return r.fail(Ineligible, idx, "response %s on thread %s does not match a pending invocation", ev.Method, ev.Thread)
 		}
 		delete(r.pend, ev.Thread)
 		r.ops = append(r.ops, history.Op{
@@ -212,7 +181,7 @@ func (r *replayStepper) Advance(ev history.Event, idx int) StepResult {
 			return r.recheck(idx)
 		}
 	default:
-		return r.fail(StepIneligible, idx, "unknown event kind %d", ev.Kind)
+		return r.fail(Ineligible, idx, "unknown event kind %d", ev.Kind)
 	}
 	return stepOK
 }
@@ -231,20 +200,14 @@ func (r *replayStepper) recheck(at int) StepResult {
 	case KindPQueue:
 		res = checkPQueue(r.ops)
 	default:
-		return r.fail(StepIneligible, at, "no batch monitor for kind %s", r.kind)
+		return r.fail(Ineligible, at, "no batch monitor for kind %s", r.kind)
 	}
-	switch res.Outcome {
-	case OK:
+	if res.Outcome == OK {
 		return stepOK
-	case Violation:
-		// The complete prefix is non-linearizable; prefix closure makes
-		// this final for every extension.
-		return r.fail(StepViolation, at, res.Reason)
-	case Inconclusive:
-		return r.fail(StepInconclusive, at, res.Reason)
-	default:
-		return r.fail(StepIneligible, at, res.Reason)
 	}
+	// A Violation on the complete prefix is final for every extension
+	// (prefix closure); a punt hands the stream to the general checker.
+	return r.fail(res.Outcome, at, "%s", res.Reason)
 }
 
 func (r *replayStepper) Finish() StepResult {
@@ -253,7 +216,7 @@ func (r *replayStepper) Finish() StepResult {
 	}
 	if len(r.pend) > 0 {
 		res := StepResult{
-			Outcome: StepOK,
+			Outcome: OK,
 			Reason:  fmt.Sprintf("%d invocations pending at end of stream; final batch re-check skipped", len(r.pend)),
 			AtEvent: -1,
 		}

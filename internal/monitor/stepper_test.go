@@ -19,7 +19,7 @@ func runStepper(t *testing.T, sp spec.Spec, h history.History) StepResult {
 		t.Fatalf("NewStepper: %v", err)
 	}
 	for i, ev := range h {
-		if r := st.Advance(ev, i); r.Outcome != StepOK {
+		if r := st.Advance(ev, i); r.Outcome != OK {
 			return r
 		}
 	}
@@ -29,13 +29,13 @@ func runStepper(t *testing.T, sp spec.Spec, h history.History) StepResult {
 // agreeWithBatch cross-validates the stepper's final outcome on a
 // complete history against a reference: the batch monitor, or for the
 // queue, whose batch monitor is the stepper itself, refQueue.
-// StepInconclusive means the stepper punted to the general checker, so
+// Inconclusive means the stepper punted to the general checker, so
 // any reference outcome is acceptable there; every other outcome must
 // match exactly.
 func agreeWithBatch(t *testing.T, sp spec.Spec, h history.History, label string) {
 	t.Helper()
 	sr := runStepper(t, sp, h)
-	if sr.Outcome == StepInconclusive {
+	if sr.Outcome == Inconclusive {
 		return
 	}
 	var ref Outcome
@@ -48,10 +48,7 @@ func agreeWithBatch(t *testing.T, sp spec.Spec, h history.History, label string)
 		br := Check(h, sp)
 		ref, why = br.Outcome, br.Reason
 	}
-	want := map[Outcome]StepOutcome{
-		OK: StepOK, Violation: StepViolation, Ineligible: StepIneligible, Inconclusive: StepInconclusive,
-	}[ref]
-	if sr.Outcome != want {
+	if sr.Outcome != ref {
 		t.Fatalf("%s: stepper %s (%s at %d) but reference %s (%s)",
 			label, sr.Outcome, sr.Reason, sr.AtEvent, ref, why)
 	}
@@ -263,11 +260,11 @@ func TestQueueStepperQ0AtExactEvent(t *testing.T) {
 	})
 	st, _ := NewStepper(spec.NewQueue("q"), 0)
 	r := st.Advance(h[0], 0)
-	if r.Outcome != StepOK {
+	if r.Outcome != OK {
 		t.Fatalf("event 0: %v", r)
 	}
 	r = st.Advance(h[1], 1)
-	if r.Outcome != StepViolation || r.AtEvent != 1 {
+	if r.Outcome != Violation || r.AtEvent != 1 {
 		t.Fatalf("want violation at event 1, got %s at %d (%s)", r.Outcome, r.AtEvent, r.Reason)
 	}
 	// Sticky afterwards.
@@ -294,7 +291,7 @@ func TestQueueStepperQ0AfterShed(t *testing.T) {
 	})
 	r := runStepper(t, spec.NewQueue("q"), h)
 	const want = "Q0: deq ▷ 1 completes at 5 but no enqueue of 1 is outstanding"
-	if r.Outcome != StepViolation || r.AtEvent != 5 || r.Reason != want {
+	if r.Outcome != Violation || r.AtEvent != 5 || r.Reason != want {
 		t.Fatalf("got %s at %d (%q), want violation at 5 (%q)", r.Outcome, r.AtEvent, r.Reason, want)
 	}
 }
@@ -308,7 +305,7 @@ func TestQueueStepperPendingEnqMatch(t *testing.T) {
 		{thread: 2, method: spec.MethodDeq, ret: history.Pair(true, 5)},
 		{thread: 1, method: spec.MethodEnq, ret: history.Bool(true)},
 	})
-	if r := runStepper(t, spec.NewQueue("q"), h); r.Outcome != StepOK {
+	if r := runStepper(t, spec.NewQueue("q"), h); r.Outcome != OK {
 		t.Fatalf("want ok, got %s (%s)", r.Outcome, r.Reason)
 	}
 }
@@ -330,11 +327,11 @@ func TestQueueStepperQ2AtExactEvent(t *testing.T) {
 	var r StepResult
 	for i, ev := range h {
 		r = st.Advance(ev, i)
-		if r.Outcome != StepOK && i < 7 {
+		if r.Outcome != OK && i < 7 {
 			t.Fatalf("premature non-OK at %d: %v", i, r)
 		}
 	}
-	if r.Outcome != StepViolation || r.AtEvent != 7 {
+	if r.Outcome != Violation || r.AtEvent != 7 {
 		t.Fatalf("want Q2 violation at event 7, got %s at %d (%s)", r.Outcome, r.AtEvent, r.Reason)
 	}
 }
@@ -353,11 +350,11 @@ func TestQueueStepperQ3AtFinish(t *testing.T) {
 	})
 	st, _ := NewStepper(spec.NewQueue("q"), 0)
 	for i, ev := range h {
-		if r := st.Advance(ev, i); r.Outcome != StepOK {
+		if r := st.Advance(ev, i); r.Outcome != OK {
 			t.Fatalf("event %d: %v", i, r)
 		}
 	}
-	if r := st.Finish(); r.Outcome != StepViolation {
+	if r := st.Finish(); r.Outcome != Violation {
 		t.Fatalf("want Q3 at finish, got %s (%s)", r.Outcome, r.Reason)
 	}
 }
@@ -374,7 +371,7 @@ func TestQueueStepperQ4Deferred(t *testing.T) {
 		{thread: 3, method: spec.MethodDeq, ret: history.Pair(false, 0)},
 		{thread: 2, method: spec.MethodDeq, ret: history.Pair(true, 1)},
 	})
-	if r := runStepper(t, spec.NewQueue("q"), ok); r.Outcome != StepOK {
+	if r := runStepper(t, spec.NewQueue("q"), ok); r.Outcome != OK {
 		t.Fatalf("deferred empty wrongly judged: %s (%s)", r.Outcome, r.Reason)
 	}
 	if br := Check(ok, spec.NewQueue("q")); br.Outcome != OK {
@@ -395,7 +392,7 @@ func TestQueueStepperQ4Deferred(t *testing.T) {
 		{thread: 2, method: spec.MethodDeq, ret: history.Pair(true, 1)},
 	})
 	r := runStepper(t, spec.NewQueue("q"), bad)
-	if r.Outcome != StepViolation || r.AtEvent != 6 {
+	if r.Outcome != Violation || r.AtEvent != 6 {
 		t.Fatalf("want Q4 violation at event 6, got %s at %d (%s)", r.Outcome, r.AtEvent, r.Reason)
 	}
 	if br := Check(bad, spec.NewQueue("q")); br.Outcome != Violation {
@@ -410,7 +407,7 @@ func TestQueueStepperShedsDecidedState(t *testing.T) {
 	idx := 0
 	feed := func(ev history.Event) {
 		t.Helper()
-		if r := st.Advance(ev, idx); r.Outcome != StepOK {
+		if r := st.Advance(ev, idx); r.Outcome != OK {
 			t.Fatalf("event %d: %s (%s)", idx, r.Outcome, r.Reason)
 		}
 		idx++
@@ -429,7 +426,7 @@ func TestQueueStepperShedsDecidedState(t *testing.T) {
 	if stats.Resident > 4096 {
 		t.Fatalf("resident state %d not bounded (events=%d, shed=%d)", stats.Resident, stats.Events, stats.Shed)
 	}
-	if r := st.Finish(); r.Outcome != StepOK {
+	if r := st.Finish(); r.Outcome != OK {
 		t.Fatalf("finish: %s (%s)", r.Outcome, r.Reason)
 	}
 }
@@ -485,12 +482,12 @@ func TestStepperIncompleteFinishSkipsFinalChecks(t *testing.T) {
 	})
 	st, _ := NewStepper(spec.NewQueue("q"), 0)
 	for i, ev := range h {
-		if r := st.Advance(ev, i); r.Outcome != StepOK {
+		if r := st.Advance(ev, i); r.Outcome != OK {
 			t.Fatalf("event %d: %v", i, r)
 		}
 	}
 	r := st.Finish()
-	if r.Outcome != StepOK || r.Reason == "" {
+	if r.Outcome != OK || r.Reason == "" {
 		t.Fatalf("want annotated OK on incomplete finish, got %s (%q)", r.Outcome, r.Reason)
 	}
 }

@@ -379,7 +379,7 @@ var (
 )
 
 // PublishExpvar exposes the registry on the process-wide expvar page
-// (and therefore on any -pprof or -serve debug server's /debug/vars)
+// (and therefore on any -serve ops server's /debug/vars)
 // under the given name. Publishing the same name again for the same
 // registry is a no-op; publishing it for a different registry — or a
 // name some other package already took — is an error.

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 
 	"calgo/internal/check"
 	"calgo/internal/history"
@@ -9,17 +10,17 @@ import (
 	"calgo/internal/spec"
 )
 
-// objEngine maintains one object's incremental verdict: a monitor
-// stepper on the fast path, a windowed DFS re-checker as fallback. While
-// a stepper engine still holds the complete event prefix in its buffer
-// (the stream is shorter than Config.Window), leaving the monitored
-// fragment falls back to an exact DFS re-check; past that boundary it
-// degrades honestly.
+// objEngine maintains one object's incremental verdict. A spec with a
+// monitor at element size 1 runs its stepper, and the buffered exact
+// re-check is the stepper's only fallback: while the buffer still holds
+// the complete event prefix (the stream is shorter than Config.Window),
+// leaving the monitored fragment re-checks that prefix with the DFS; past
+// that boundary it degrades honestly. Every other spec runs the windowed
+// DFS re-check.
 type objEngine struct {
 	sp      spec.Spec
 	checker *check.Checker
 	stepper monitor.Stepper
-	strict  bool // EngineMonitor: degrade instead of falling back
 	lbl     string
 
 	buf       history.History
@@ -34,40 +35,24 @@ type objEngine struct {
 }
 
 func newObjEngine(comp spec.Spec, cfg *Config) (*objEngine, error) {
-	copts := make([]check.Option, 0, len(cfg.CheckOptions)+1)
-	copts = append(copts, cfg.CheckOptions...)
-	if cfg.Engine == EngineDFS {
-		copts = append(copts, check.WithEngine(check.EngineDFS))
-	} else {
-		copts = append(copts, check.WithEngine(check.EngineAuto))
-	}
+	// The checker only runs where no monitor decides: for a spec without
+	// one, or on the very prefix a stepper punted on, where a monitor
+	// pass could only punt again. So it runs the DFS alone.
+	copts := append(slices.Clip(cfg.CheckOptions), check.WithEngine(check.EngineDFS))
 	checker, err := check.NewChecker(comp, copts...)
 	if err != nil {
 		return nil, fmt.Errorf("stream: %w", err)
 	}
 	e := &objEngine{sp: comp, checker: checker, lbl: "dfs"}
-	eligible := monitor.SpecKind(comp) != monitor.KindNone && checker.MaxElementSize() == 1
-	switch cfg.Engine {
-	case EngineDFS:
-	case EngineMonitor:
-		if !eligible {
-			return nil, fmt.Errorf("stream: engine monitor requires a specification with a specialized monitor at element size 1; %s has none", comp.Name())
-		}
-		st, err := monitor.NewStepper(comp, cfg.CheckEvery)
-		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-		e.stepper, e.strict = st, true
-		e.lbl = "monitor:" + st.Kind().String()
-	default: // EngineAuto
-		if eligible {
-			if st, err := monitor.NewStepper(comp, cfg.CheckEvery); err == nil {
-				e.stepper = st
-				e.buffering = true
-				e.lbl = "monitor:" + st.Kind().String()
-			}
-		}
+	if monitor.SpecKind(comp) == monitor.KindNone || checker.MaxElementSize() != 1 {
+		return e, nil
 	}
+	st, err := monitor.NewStepper(comp, cfg.CheckEvery)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %w", err)
+	}
+	e.stepper, e.buffering = st, true
+	e.lbl = "monitor:" + st.Kind().String()
 	return e, nil
 }
 
@@ -116,7 +101,7 @@ func (e *objEngine) feed(s *Stream, ev history.Event, idx int64) {
 	if e.stepper != nil {
 		r := e.stepper.Advance(ev, int(idx))
 		switch r.Outcome {
-		case monitor.StepOK:
+		case monitor.OK:
 			if e.buffering {
 				e.buf = append(e.buf, ev)
 				if len(e.buf) > s.cfg.Window {
@@ -128,9 +113,9 @@ func (e *objEngine) feed(s *Stream, ev history.Event, idx int64) {
 					e.buffering = false
 				}
 			}
-		case monitor.StepViolation:
+		case monitor.Violation:
 			s.violate(int64(r.AtEvent), fmt.Sprintf("%s (object %s, %s)", r.Reason, e.obj(), e.lbl))
-		default: // StepIneligible, StepInconclusive
+		default: // Ineligible, Inconclusive
 			e.leaveFragment(s, &ev, idx, r)
 		}
 		return
@@ -161,36 +146,20 @@ func (e *objEngine) feed(s *Stream, ev history.Event, idx int64) {
 // exact DFS fallback while the complete prefix is still buffered, honest
 // degradation otherwise. ev is nil when punting at Finish.
 func (e *objEngine) leaveFragment(s *Stream, ev *history.Event, idx int64, r monitor.StepResult) {
-	reason := fmt.Sprintf("%s %s at event %d: %s", e.lbl, r.Outcome, r.AtEvent, r.Reason)
 	e.syncShed(s)
-	if e.strict {
-		e.stepper = nil
-		e.dropBuf(s)
-		e.degraded = true
-		s.degrade("engine monitor cannot decide: " + reason)
-		return
-	}
+	e.stepper = nil
 	if !e.buffering {
-		e.stepper = nil
-		e.dropBuf(s)
 		e.degraded = true
-		s.degrade(reason + "; the fallback window was already shed")
+		s.degrade(fmt.Sprintf("%s %s at event %d: %s; the fallback window was already shed",
+			e.lbl, r.Outcome, r.AtEvent, r.Reason))
 		return
 	}
 	if ev != nil {
 		e.buf = append(e.buf, *ev)
 	}
-	e.stepper = nil
 	e.buffering = false
 	e.lbl = "dfs"
 	e.recheck(s, idx)
-}
-
-func (e *objEngine) dropBuf(s *Stream) {
-	if n := int64(len(e.buf)); n > 0 {
-		s.shedBuffered(n)
-		e.buf = nil
-	}
 }
 
 func (e *objEngine) recheck(s *Stream, idx int64) {
@@ -225,8 +194,8 @@ func (e *objEngine) finish(s *Stream) {
 		r := e.stepper.Finish()
 		e.syncShed(s)
 		switch r.Outcome {
-		case monitor.StepOK:
-		case monitor.StepViolation:
+		case monitor.OK:
+		case monitor.Violation:
 			s.violate(int64(r.AtEvent), fmt.Sprintf("%s (object %s, %s)", r.Reason, e.obj(), e.lbl))
 		default:
 			e.leaveFragment(s, nil, e.lastIdx, r)

@@ -10,18 +10,23 @@
 // That closure is what makes an online verdict sound — once a prefix is
 // bad, "VIOLATION-at-event-k" is final for the whole stream.
 //
-// Each object gets one engine:
+// Each object gets one engine, chosen by its specification:
 //
-//   - fast path: the specialized monitors of calgo/internal/monitor,
-//     advanced event-by-event (monitor.Stepper). The queue stepper is
-//     fully incremental and sheds decided values, so a balanced stream
-//     of any length runs in bounded memory; stack/set/pqueue steppers
-//     retain completed operations and re-check at quiescent cuts.
-//   - fallback: windowed DFS re-check — the general checker
-//     (calgo/internal/check) re-run over the object's buffered events on
-//     a cadence. The buffer is bounded by Config.Window; a stream that
-//     outgrows it degrades honestly to "Unknown-degraded" rather than
-//     shedding events the DFS would need.
+//   - a spec with a specialized monitor at element size 1 (queue, stack,
+//     set, pqueue; calgo/internal/monitor) is advanced event-by-event by
+//     its monitor.Stepper. The queue stepper is fully incremental and
+//     sheds decided values, so a balanced stream of any length runs in
+//     bounded memory; stack/set/pqueue steppers retain completed
+//     operations and re-check at quiescent cuts. While the stream is
+//     shorter than Config.Window the object also buffers its events; if
+//     the stepper leaves its fragment then, that complete prefix is
+//     re-checked with the exact DFS (calgo/internal/check), which decides
+//     the object from there on.
+//   - every other spec runs the windowed DFS re-check: the general
+//     checker re-run over the object's buffered events on a cadence. The
+//     buffer is bounded by Config.Window; a stream that outgrows it
+//     degrades honestly to "Unknown-degraded" rather than shedding events
+//     the DFS would need.
 //
 // Verdicts are three-valued with an explicit degradation state:
 // Sat-so-far (every check run so far passed), VIOLATION-at-event-k
@@ -140,52 +145,8 @@ func (v Verdict) MarshalJSON() ([]byte, error) {
 // ErrClosed is returned by Feed after Close.
 var ErrClosed = errors.New("stream: closed")
 
-// Engine selects the per-object decision path. Unlike the batch
-// checker's check.Engine (whose zero value is the exhaustive DFS), the
-// zero value here is EngineAuto: streaming exists for the incremental
-// fast path, so it is the only sensible default.
-type Engine uint8
-
-const (
-	// EngineAuto (the zero value) routes monitored element-size-1 specs
-	// through incremental steppers and falls back to windowed DFS
-	// re-checking when a stream leaves the unambiguous fragment.
-	EngineAuto Engine = iota
-	// EngineDFS forces windowed DFS re-checking for every object.
-	EngineDFS
-	// EngineMonitor forces steppers and degrades instead of falling
-	// back; New errors for specs without a monitor at element size 1.
-	EngineMonitor
-)
-
-// String returns the engine's flag spelling.
-func (e Engine) String() string {
-	switch e {
-	case EngineDFS:
-		return "dfs"
-	case EngineMonitor:
-		return "monitor"
-	default:
-		return "auto"
-	}
-}
-
-// ParseEngine parses a -stream-engine flag value.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "auto", "":
-		return EngineAuto, nil
-	case "dfs":
-		return EngineDFS, nil
-	case "monitor":
-		return EngineMonitor, nil
-	default:
-		return EngineAuto, fmt.Errorf("stream: unknown engine %q (want auto, dfs or monitor)", s)
-	}
-}
-
-// Config configures a Stream. The zero value is usable: engine auto,
-// default window and cadence, no metrics.
+// Config configures a Stream. The zero value is usable: default window
+// and cadence, no metrics.
 type Config struct {
 	// Window bounds the events buffered per object for DFS (re-)checking
 	// and for falling back from a monitor that leaves its fragment
@@ -195,12 +156,9 @@ type Config struct {
 	// replay steppers' re-check cadence in completed operations. Default
 	// 4096.
 	CheckEvery int
-	// Engine selects the per-object decision path; see the Engine
-	// constants. The zero value is EngineAuto.
-	Engine Engine
 	// CheckOptions configure the embedded fallback Checker (state bounds,
-	// memo budget, tracers, metrics). Engine selection is owned by
-	// Config.Engine and must not appear here.
+	// memo budget, tracers, metrics). The stream builds it with the DFS
+	// engine, so an engine option here has no effect.
 	CheckOptions []check.Option
 	// Metrics, when set, registers the stream gauges and counters
 	// (stream.events, stream.shed, stream.checks, stream.violations,

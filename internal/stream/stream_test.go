@@ -229,11 +229,45 @@ func TestStreamMonitorFallsBackToDFS(t *testing.T) {
 	if v.Engine != "dfs" {
 		t.Fatalf("engine %q, want dfs after fallback", v.Engine)
 	}
+}
 
-	// Same shape under EngineMonitor: no fallback allowed, degrade.
-	v = streamVerdict(t, sp, h, Config{CheckEvery: 1, Engine: EngineMonitor})
+// TestStreamLeavesFragmentAfterShedDegrades pins the honesty boundary: a
+// monitored stream that has shed its fallback window and then leaves the
+// unambiguous fragment cannot re-check the prefix it no longer holds, so
+// it degrades instead of guessing, and keeps counting events.
+func TestStreamLeavesFragmentAfterShedDegrades(t *testing.T) {
+	s, err := New(spec.NewQueue("q"), Config{Window: 8, CheckEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedBalancedQueue(t, s, 4, -1) // 16 events: past the window, so shed
+	if v := s.Verdict(); v.Status != SatSoFar || v.Shed == 0 {
+		t.Fatalf("after the pristine prefix: %s (shed %d), want Sat-so-far with a shed window", v, v.Shed)
+	}
+	h := history.History{
+		history.Inv(1, "q", spec.MethodEnq, history.Int(100)),
+		history.Res(1, "q", spec.MethodEnq, history.Bool(true)),
+		// 100 is still in the queue: enqueuing it again is ambiguous.
+		history.Inv(2, "q", spec.MethodEnq, history.Int(100)),
+		history.Res(2, "q", spec.MethodEnq, history.Bool(true)),
+		history.Inv(1, "q", spec.MethodDeq, history.Unit()),
+		history.Res(1, "q", spec.MethodDeq, history.Pair(true, 100)),
+	}
+	if err := s.FeedAll(h); err != nil {
+		t.Fatal(err)
+	}
+	v := s.Close()
 	if v.Status != Degraded {
-		t.Fatalf("engine monitor on ambiguous history: want Degraded, got %s", v)
+		t.Fatalf("want Degraded, got %s", v)
+	}
+	if !strings.Contains(v.Reason, "fallback window was already shed") {
+		t.Fatalf("reason %q does not name the shed window", v.Reason)
+	}
+	if v.Shed == 0 {
+		t.Fatal("the stream must report its shed window")
+	}
+	if v.Events != 16+int64(len(h)) {
+		t.Fatalf("events %d, want %d (degraded streams keep counting)", v.Events, 16+len(h))
 	}
 }
 

@@ -42,8 +42,8 @@ func checkOptions(opts []Option) ([]check.Option, error) {
 
 // streamOptions projects opts onto a stream configuration. Stream-native
 // options edit the Config directly; checker options configure the
-// embedded fallback Checker (WithEngine excepted — a stream's engine is
-// chosen with WithStreamEngine); anything else is rejected.
+// embedded fallback Checker (WithEngine excepted — a stream picks each
+// object's decision path from its spec); anything else is rejected.
 func streamOptions(opts []Option) (stream.Config, error) {
 	var cfg stream.Config
 	for _, o := range opts {
@@ -51,7 +51,7 @@ func streamOptions(opts []Option) (stream.Config, error) {
 		case o.stream != nil:
 			o.stream(&cfg)
 		case o.name == "WithEngine":
-			return cfg, fmt.Errorf("calgo: option WithEngine does not apply to streams; use WithStreamEngine")
+			return cfg, fmt.Errorf("calgo: option WithEngine does not apply to streams, which pick each object's decision path from its spec")
 		case o.check != nil:
 			cfg.CheckOptions = append(cfg.CheckOptions, o.check)
 		default:
@@ -183,15 +183,6 @@ func WithStreamWindow(n int) Option {
 // replay steppers' batch re-checks. Default 4096.
 func WithStreamCheckEvery(n int) Option {
 	return Option{name: "WithStreamCheckEvery", stream: func(c *stream.Config) { c.CheckEvery = n }}
-}
-
-// WithStreamEngine selects the per-object streaming decision path:
-// StreamEngineAuto (the default) runs incremental monitors with DFS
-// fallback, StreamEngineDFS forces windowed re-checking, and
-// StreamEngineMonitor forces monitors and degrades instead of falling
-// back.
-func WithStreamEngine(e StreamEngine) Option {
-	return Option{name: "WithStreamEngine", stream: func(c *stream.Config) { c.Engine = e }}
 }
 
 // WithStreamContext parents the stream's internal context: cancelling

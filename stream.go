@@ -21,9 +21,6 @@ type (
 	// StreamStatus is the three-valued streaming verdict: sat-so-far,
 	// violation, or unknown-degraded.
 	StreamStatus = stream.Status
-	// StreamEngine selects the per-object streaming decision path; see
-	// WithStreamEngine.
-	StreamEngine = stream.Engine
 )
 
 // StreamStatus values.
@@ -39,19 +36,6 @@ const (
 	StreamDegraded = stream.Degraded
 )
 
-// StreamEngine values for WithStreamEngine.
-const (
-	// StreamEngineAuto (the default) routes monitored element-size-1
-	// specs through incremental steppers, falling back to windowed DFS
-	// re-checking.
-	StreamEngineAuto = stream.EngineAuto
-	// StreamEngineDFS forces windowed DFS re-checking.
-	StreamEngineDFS = stream.EngineDFS
-	// StreamEngineMonitor forces incremental steppers and degrades
-	// instead of falling back.
-	StreamEngineMonitor = stream.EngineMonitor
-)
-
 // Stream configuration defaults (see WithStreamWindow and
 // WithStreamCheckEvery).
 const (
@@ -62,22 +46,22 @@ const (
 // ErrStreamClosed is returned by Stream.Feed after Close.
 var ErrStreamClosed = stream.ErrClosed
 
-// ParseStreamEngine parses a -stream-engine flag value ("auto", "dfs" or
-// "monitor").
-var ParseStreamEngine = stream.ParseEngine
-
 // NewStream builds an online checker deciding sp over a growing event
 // stream. Product specifications are demultiplexed into one incremental
-// engine per component object. Options: WithStreamWindow,
-// WithStreamCheckEvery, WithStreamEngine, WithStreamContext, plus any
-// checker option (WithMaxStates, WithMemoBudget, WithMetrics, ...) to
-// configure the embedded fallback re-checker.
+// engine per component object: a monitor stepper where the spec has a
+// monitor at element size 1, the windowed DFS re-check otherwise.
+// Options: WithStreamWindow, WithStreamCheckEvery, WithStreamContext,
+// plus any checker option except WithEngine (WithMaxStates,
+// WithMemoBudget, WithMetrics, ...) to configure the embedded fallback
+// re-checker.
 //
-// The streaming verdict agrees with CAL(..., WithElementCap(1)) on every
-// fed prefix: Sat-so-far/Sat where the batch verdict is Sat,
-// VIOLATION-at-event-k where it is Unsat (k the exact event for
-// incremental engines, the detecting re-check boundary otherwise), and
-// Unknown-degraded only where the stream exceeded a declared capacity.
+// On every fed prefix, the streaming verdict agrees with the batch
+// verdict of CAL on that prefix, under the spec's own element bound (an
+// exchanger stream accepts swaps, elements of size 2): Sat-so-far/Sat
+// where the batch verdict is Sat, VIOLATION-at-event-k where it is Unsat (k the exact
+// event for incremental engines, the detecting re-check boundary
+// otherwise), and Unknown-degraded only where the stream exceeded a
+// declared capacity.
 func NewStream(sp Spec, opts ...Option) (*Stream, error) {
 	cfg, err := streamOptions(opts)
 	if err != nil {

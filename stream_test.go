@@ -49,31 +49,38 @@ func TestNewStreamEndToEnd(t *testing.T) {
 
 // TestNewStreamRejectsForeignOptions pins the facade contract: options
 // that do not apply to streams fail construction instead of being
-// silently dropped, and batch engine selection is redirected to
-// WithStreamEngine.
+// silently dropped, and so does batch engine selection, since a stream
+// picks each object's decision path from its spec.
 func TestNewStreamRejectsForeignOptions(t *testing.T) {
 	if _, err := calgo.NewStream(calgo.NewQueueSpec("q"), calgo.WithInvariant(nil)); err == nil ||
 		!strings.Contains(err.Error(), "WithInvariant") {
 		t.Fatalf("explorer option accepted by NewStream: %v", err)
 	}
 	if _, err := calgo.NewStream(calgo.NewQueueSpec("q"), calgo.WithEngine(calgo.EngineAuto)); err == nil ||
-		!strings.Contains(err.Error(), "WithStreamEngine") {
-		t.Fatalf("WithEngine should redirect to WithStreamEngine: %v", err)
+		!strings.Contains(err.Error(), "WithEngine") {
+		t.Fatalf("WithEngine accepted by NewStream: %v", err)
 	}
 }
 
-// TestNewStreamEngineSelection: forcing the monitor engine on a spec
-// without one fails fast; ParseStreamEngine round-trips the spellings.
-func TestNewStreamEngineSelection(t *testing.T) {
-	_, err := calgo.NewStream(calgo.NewExchangerSpec("ex"),
-		calgo.WithStreamEngine(calgo.StreamEngineMonitor))
-	if err == nil {
-		t.Fatal("engine monitor on the exchanger (elements of size 2) must fail")
-	}
-	for _, e := range []calgo.StreamEngine{calgo.StreamEngineAuto, calgo.StreamEngineDFS, calgo.StreamEngineMonitor} {
-		got, err := calgo.ParseStreamEngine(e.String())
-		if err != nil || got != e {
-			t.Fatalf("ParseStreamEngine(%q) = %v, %v", e.String(), got, err)
+// TestNewStreamDecisionPathBySpec: the spec alone picks each object's
+// decision path, and Verdict.Engine names it: the stepper for a spec
+// with a monitor at element size 1, the windowed DFS re-check for one
+// without (the exchanger's swaps are elements of size 2).
+func TestNewStreamDecisionPathBySpec(t *testing.T) {
+	for _, tc := range []struct {
+		sp   calgo.Spec
+		want string
+	}{
+		{calgo.NewQueueSpec("q"), "monitor:queue"},
+		{calgo.NewStackSpec("s"), "monitor:stack"},
+		{calgo.NewExchangerSpec("ex"), "dfs"},
+	} {
+		s, err := calgo.NewStream(tc.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Close().Engine; got != tc.want {
+			t.Errorf("%s: engine %q, want %q", tc.sp.Name(), got, tc.want)
 		}
 	}
 }
