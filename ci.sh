@@ -242,6 +242,40 @@ for path in sys.argv[1:]:
 print("monitor fast path: %d runs all dispatched, zero DFS fallbacks" % len(sys.argv[1:]))
 ' "$explain_dir/mon-stack-sat.json" "$explain_dir/mon-queue-vio.json" "$explain_dir/mon-stack-vio.json"
 
+# The DFS takes each thread's next operation as its ready candidate and
+# builds no n×n real-time order, so a long narrow history costs it
+# memory linear in its length: 100,000 events of four-thread queue
+# rounds (four overlapping enqueues, then four overlapping dequeues in
+# FIFO order) must decide OK well inside the deadline.
+echo "== calcheck -engine dfs 100k-event smoke =="
+python3 -c '
+import sys
+out = []
+for r in range(6250):
+    v = 4 * r
+    for t in range(1, 5):
+        out.append("inv t%d Q.enq %d" % (t, v + t))
+    for t in range(1, 5):
+        out.append("res t%d Q.enq true" % t)
+    for t in range(1, 5):
+        out.append("inv t%d Q.deq ()" % t)
+    for t in range(1, 5):
+        out.append("res t%d Q.deq (true,%d)" % (t, v + t))
+sys.stdout.write("\n".join(out) + "\n")
+' >"$explain_dir/queue-100k.txt"
+dfs_out=$("$explain_dir/calcheck" -spec queue -object Q -engine dfs -timeout 30s \
+    "$explain_dir/queue-100k.txt" 2>&1) || {
+    echo "calcheck -engine dfs on the 100k-event queue history did not exit 0:" >&2
+    echo "$dfs_out" >&2
+    exit 1
+}
+echo "$dfs_out" | grep -q "^OK" || {
+    echo "calcheck -engine dfs on the 100k-event queue history did not print OK:" >&2
+    echo "$dfs_out" >&2
+    exit 1
+}
+echo "$dfs_out"
+
 # Soak the queue stepper against the DFS: 2,000 recorded Michael–Scott
 # queue runs, every other one with an injected defect, each streamed
 # through the stepper and checked in batch. The batch side runs the DFS:

@@ -269,9 +269,13 @@ func corruptRemoval(h calgo.History) (calgo.History, bool) {
 // crossValidateStream pins the streaming/batch agreement contract on one
 // history: VIOLATION-at-event-k exactly where the batch verdict is
 // UNSAT, Sat-so-far only where it is SAT; a Degraded stream or an
-// UNKNOWN batch check waives the comparison as inconclusive.
+// UNKNOWN batch check waives the comparison as inconclusive. -timeout
+// and ctx bound the stream's re-checks as they bound the batch check.
 func crossValidateStream(ctx context.Context, label string, sp calgo.Spec, h calgo.History, shared *cliflags.Set) error {
-	st, err := calgo.NewStream(sp, append(shared.StreamOptions(), shared.Options()...)...)
+	sctx, scancel := shared.WithTimeout(ctx)
+	defer scancel()
+	opts := append(shared.StreamOptions(), calgo.WithStreamContext(sctx))
+	st, err := calgo.NewStream(sp, append(opts, shared.Options()...)...)
 	if err != nil {
 		return fmt.Errorf("%s: opening stream: %w", label, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"calgo"
@@ -13,7 +14,11 @@ import (
 // testShared registers the shared flag set once for the test binary; its
 // unparsed defaults (-timeout 0, -workers 0, observability off) match
 // what the old direct checkBatch parameters exercised.
-var testShared = cliflags.Register("calfuzz")
+var testShared = func() *cliflags.Set {
+	s := cliflags.Register("calfuzz")
+	s.RegisterStream()
+	return s
+}()
 
 // fuzzAndCheck runs one fuzzer iteration end to end: the inline
 // structural checks plus the (normally batched) CAL check.
@@ -111,5 +116,24 @@ func TestCheckedViewRejectsOverflow(t *testing.T) {
 	}
 	if of.Dropped != 2 {
 		t.Errorf("Dropped = %d, want 2", of.Dropped)
+	}
+}
+
+// TestCrossValidateStreamHonoursContext pins that the soak's stream runs
+// under the soak's context: the exchanger has no monitor, so its stream
+// re-checks with the DFS, and a cancelled context must degrade that
+// re-check (an inconclusive soak) rather than let it run to a verdict.
+func TestCrossValidateStreamHonoursContext(t *testing.T) {
+	h := calgo.History{
+		calgo.Inv(1, "E", calgo.MethodExchange, calgo.Int(3)),
+		calgo.Inv(2, "E", calgo.MethodExchange, calgo.Int(4)),
+		calgo.Res(1, "E", calgo.MethodExchange, calgo.Pair(true, 4)),
+		calgo.Res(2, "E", calgo.MethodExchange, calgo.Pair(true, 3)),
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := crossValidateStream(ctx, "swap", calgo.NewExchangerSpec("E"), h, testShared)
+	if !errors.Is(err, errUnknown) || !strings.Contains(err.Error(), "stream degraded") {
+		t.Fatalf("crossValidateStream under a cancelled context = %v; want %v with the stream degraded", err, errUnknown)
 	}
 }

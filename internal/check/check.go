@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -233,22 +234,19 @@ type searcher struct {
 	cfg      config
 	maxElem  int
 	ops      []history.Op
-	rt       [][]bool
 
 	// Linearization state, maintained incrementally by linearize and
 	// unlinearize rather than recomputed per node: the packed mask, the
-	// linearized counts, the per-operation count of unlinearized
-	// real-time predecessors, and the current ready set (operations with
-	// no unlinearized predecessors) with positional index for O(1)
-	// removal.
+	// linearized counts, and each thread's head. Every thread is
+	// sequential, so its operations form a chain under the real-time
+	// order ≺H and the linearized ones are a prefix of that chain.
 	linearized bitset
-	nlin       int       // linearized operations
-	nlinDone   int       // linearized completed (non-pending) operations
-	totalDone  int       // completed operations in the history
-	succs      [][]int32 // real-time successors per operation
-	blockers   []int32   // unlinearized real-time predecessors per op
-	ready      []int32
-	readyPos   []int32 // position in ready, -1 if absent
+	nlin       int     // linearized operations
+	nlinDone   int     // linearized completed (non-pending) operations
+	totalDone  int     // completed operations in the history
+	thread     []int32 // dense thread index per operation
+	next       []int32 // the same thread's next operation, -1 if none
+	head       []int32 // per thread: first unlinearized operation, -1 if none
 
 	memo      map[uint64][]memoEntry
 	memoBytes int
@@ -270,18 +268,22 @@ type searcher struct {
 	livePub   int // states already published to live
 	hElemSize *obs.Histogram
 
-	// Scratch: dfs needs a private ready snapshot and subset buffer per
-	// node, tryElement a trace.Operation buffer per attempt. Each node's
-	// ready snapshot is a segment of readyStack, pushed on entry and
-	// popped on return; an append that reallocates leaves outer frames
-	// reading their old, unchanged segment. The other buffers are
-	// recycled through freelists, so the hot path stops allocating.
+	// Scratch: dfs needs a private ready set and subset buffer per node,
+	// tryElement a trace.Operation buffer per attempt. Each node's ready
+	// set is a segment of readyStack, pushed on entry and popped on
+	// return; an append that reallocates leaves outer frames reading
+	// their old, unchanged segment. The other buffers are recycled
+	// through freelists, so the hot path stops allocating.
 	readyStack []int32
 	subsetFree [][]int32
 	opsFree    [][]trace.Operation
 
-	// Failure diagnostics: the deepest linearization reached.
+	// Failure diagnostics: the deepest linearization reached. dfs only
+	// counts a new best and marks it stale; tryElement copies the mask
+	// and witness when it backs out of that node, so a long Sat path
+	// copies nothing.
 	bestCount   int
+	bestStale   bool
 	bestMask    bitset
 	bestWitness trace.Trace
 }
@@ -304,52 +306,40 @@ func (s *searcher) tick() error {
 	return nil
 }
 
-func (s *searcher) run() (Result, error) {
-	// Setup allocates a fixed handful of backing arrays regardless of n:
-	// both bitsets share one word slice, the three int32 vectors share
-	// another, and the successor adjacency is counted first so its flat
-	// edge array is sized exactly. CheckMany amortizes nothing across
-	// histories, so per-call setup cost is part of the hot path.
+// setup sizes the search state for s.ops in a handful of allocations:
+// both bitsets share one word slice and both per-operation vectors
+// another. CheckMany amortizes nothing across histories, so per-call
+// setup cost is part of the hot path.
+func (s *searcher) setup() {
 	n := len(s.ops)
 	words := (n + 63) / 64
 	maskWords := make([]uint64, 2*words)
 	s.linearized = bitset(maskWords[:words:words])
 	s.bestMask = bitset(maskWords[words:])
-	ints := make([]int32, 3*n)
-	s.blockers = ints[:n:n]
-	s.readyPos = ints[n : 2*n : 2*n]
-	s.ready = ints[2*n : 2*n : 3*n]
-	edges := 0
-	for i := 0; i < n; i++ {
-		if !s.ops[i].Pending {
+	ints := make([]int32, 2*n)
+	s.thread, s.next = ints[:n:n], ints[n:]
+	last := make(map[history.ThreadID]int32) // thread -> its latest op so far
+	for i := range s.ops {
+		op := &s.ops[i]
+		if !op.Pending {
 			s.totalDone++
 		}
-		s.readyPos[i] = -1
-		for j := 0; j < n; j++ {
-			if s.rt[i][j] {
-				edges++
-				s.blockers[j]++
-			}
+		s.next[i] = -1
+		if p, ok := last[op.Thread]; ok {
+			s.thread[i] = s.thread[p]
+			s.next[p] = int32(i)
+		} else {
+			s.thread[i] = int32(len(s.head))
+			s.head = append(s.head, int32(i))
 		}
+		last[op.Thread] = int32(i)
 	}
-	s.succs = make([][]int32, n)
-	flat := make([]int32, 0, edges)
-	for i := 0; i < n; i++ {
-		head := len(flat)
-		for j := 0; j < n; j++ {
-			if s.rt[i][j] {
-				flat = append(flat, int32(j))
-			}
-		}
-		s.succs[i] = flat[head:len(flat):len(flat)]
-	}
-	for i := 0; i < n; i++ {
-		if s.blockers[i] == 0 {
-			s.readyAdd(int32(i))
-		}
-	}
+}
+
+func (s *searcher) run() (Result, error) {
+	s.setup()
 	if s.tr != nil {
-		s.tr.SearchStart(n)
+		s.tr.SearchStart(len(s.ops))
 	}
 	// Poll once before searching: a context cancelled before the call
 	// deterministically yields Unknown even when the search itself would
@@ -457,52 +447,45 @@ func (s *searcher) failureReason() string {
 		reason, s.bestCount, len(s.ops), strings.Join(stuck, ", "))
 }
 
-// readyAdd appends op i to the ready set.
-func (s *searcher) readyAdd(i int32) {
-	s.readyPos[i] = int32(len(s.ready))
-	s.ready = append(s.ready, i)
+// pushReady appends the ready operations to readyStack in ascending
+// order and returns them. An operation is ready iff it is its thread's
+// head and was invoked before the earliest response among the completed
+// heads: each thread's later operations respond after its head, and a
+// pending head is its thread's last operation.
+func (s *searcher) pushReady() []int32 {
+	minRes := math.MaxInt
+	for _, i := range s.head {
+		if i >= 0 && !s.ops[i].Pending && s.ops[i].ResIndex < minRes {
+			minRes = s.ops[i].ResIndex
+		}
+	}
+	base := len(s.readyStack)
+	for _, i := range s.head {
+		if i >= 0 && s.ops[i].InvIndex < minRes {
+			s.readyStack = append(s.readyStack, i)
+		}
+	}
+	ready := s.readyStack[base:]
+	slices.Sort(ready)
+	return ready
 }
 
-// readyRemove deletes op i from the ready set by swap-removal.
-func (s *searcher) readyRemove(i int32) {
-	p := s.readyPos[i]
-	last := int32(len(s.ready) - 1)
-	moved := s.ready[last]
-	s.ready[p] = moved
-	s.readyPos[moved] = p
-	s.ready = s.ready[:last]
-	s.readyPos[i] = -1
-}
-
-// linearize marks op i linearized, updating the counts, its successors'
-// blocker counts and the ready set incrementally.
+// linearize marks op i linearized, updating the counts and advancing its
+// thread's head.
 func (s *searcher) linearize(i int) {
 	s.linearized.set(i)
 	s.nlin++
 	if !s.ops[i].Pending {
 		s.nlinDone++
 	}
-	s.readyRemove(int32(i))
-	for _, j := range s.succs[i] {
-		s.blockers[j]--
-		if s.blockers[j] == 0 {
-			s.readyAdd(j)
-		}
-	}
+	s.head[s.thread[i]] = s.next[i]
 }
 
 // unlinearize is the exact inverse of linearize. Calls must unwind in
 // reverse linearization order (LIFO), which the search's backtracking
 // guarantees.
 func (s *searcher) unlinearize(i int) {
-	for k := len(s.succs[i]) - 1; k >= 0; k-- {
-		j := s.succs[i][k]
-		if s.blockers[j] == 0 {
-			s.readyRemove(j)
-		}
-		s.blockers[j]++
-	}
-	s.readyAdd(int32(i))
+	s.head[s.thread[i]] = int32(i)
 	s.linearized.clear(i)
 	s.nlin--
 	if !s.ops[i].Pending {
@@ -558,8 +541,7 @@ func (s *searcher) dfs(st spec.State) (bool, error) {
 	}
 	if s.nlin > s.bestCount {
 		s.bestCount = s.nlin
-		copy(s.bestMask, s.linearized)
-		s.bestWitness = append(s.bestWitness[:0], s.witness...)
+		s.bestStale = true
 	}
 	specKey := st.Key()
 	var hash uint64
@@ -583,13 +565,8 @@ func (s *searcher) dfs(st spec.State) (bool, error) {
 		return false, &abortError{cause: fmt.Errorf("%w (limit %d)", ErrBound, s.cfg.maxStates)}
 	}
 
-	// Snapshot the ready set onto the stack: the recursion below mutates
-	// it in place, and linearize/unlinearize restore it only as a set —
-	// ascending order keeps the enumeration deterministic.
 	base := len(s.readyStack)
-	s.readyStack = append(s.readyStack, s.ready...)
-	ready := s.readyStack[base:]
-	slices.Sort(ready)
+	ready := s.pushReady()
 	subset := s.getSubsetBuf()
 	// Enumerate candidate subsets of ready operations sharing an object,
 	// pairwise concurrent, of size 1..maxElem.
@@ -639,18 +616,12 @@ func (s *searcher) enumerate(st spec.State, ready, subset []int32, start int) (b
 	return false, nil
 }
 
-// compatible reports whether op i can join the candidate element subset:
-// same object as the existing members and concurrent with each of them.
+// compatible reports whether ready op i can join the candidate element
+// subset: same object as its members. Ready operations are pairwise
+// concurrent (had one responded before another was invoked, the other
+// would not be ready), so no real-time test is needed.
 func (s *searcher) compatible(subset []int32, i int32) bool {
-	for _, j := range subset {
-		if s.ops[j].Object != s.ops[i].Object {
-			return false
-		}
-		if s.rt[i][j] || s.rt[j][i] {
-			return false
-		}
-	}
-	return true
+	return len(subset) == 0 || s.ops[subset[0]].Object == s.ops[i].Object
 }
 
 // tryElement attempts to linearize the operations in subset as one
@@ -712,6 +683,13 @@ func (s *searcher) tryElement(st spec.State, subset []int32) (bool, error) {
 		ok, derr := s.dfs(next)
 		if ok {
 			return true, nil
+		}
+		if s.bestStale {
+			// No deeper node was reached since the best was counted, so
+			// the mask and witness are still the deepest node's.
+			copy(s.bestMask, s.linearized)
+			s.bestWitness = append(s.bestWitness[:0], s.witness...)
+			s.bestStale = false
 		}
 		s.witness = s.witness[:len(s.witness)-1]
 		for k := len(subset) - 1; k >= 0; k-- {

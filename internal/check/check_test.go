@@ -376,29 +376,26 @@ func bytesPerRun(runs int, fn func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestDFSReadySnapshotsShareOneStack pins the memory of the ready-set
-// snapshots: every search depth snapshots the ready set, and a deep
-// search over a narrow history must keep those snapshots on one stack,
-// not in a buffer of len(ops) per depth (n × n int32s, 4 MB at n = 1,000,
-// on top of everything else). Everything a check allocates besides the
-// real-time order matrix must stay below that matrix of buffers.
+// TestDFSReadySnapshotsShareOneStack pins the memory of a DFS check.
+// Every search depth pushes its ready set, and a deep search over a
+// narrow history must keep those sets on one stack, not in a buffer of
+// len(ops) per depth; and the ready sets come from one head per thread,
+// so no n×n real-time order is built. At n = 2,000 ops the whole check
+// must allocate less than n² bytes, the size of that bool matrix alone.
 func TestDFSReadySnapshotsShareOneStack(t *testing.T) {
-	h := monitor.GenQueue(1000, 4, 1, "q")
+	h := monitor.GenQueue(2000, 4, 1, "q")
 	c, err := NewChecker(spec.NewQueue("q"), WithEngine(EngineDFS))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := h.Operations()
-	n := uint64(len(ops))
+	n := uint64(len(h.Operations()))
 	perCheck := bytesPerRun(2, func() {
 		res, err := c.Check(context.Background(), h)
 		if err != nil || res.Verdict != Sat {
 			t.Fatalf("Check = %v, %v; want Sat", res.Verdict, err)
 		}
 	})
-	rt := bytesPerRun(2, func() { _ = history.RTOrder(ops) })
-	if rest, bound := perCheck-rt, 4*n*n; rest >= bound {
-		t.Fatalf("a %d-op DFS check allocates %d B besides its %d B real-time order; want < %d B",
-			n, rest, rt, bound)
+	if bound := n * n; perCheck >= bound {
+		t.Fatalf("a %d-op DFS check allocates %d B; want < %d B", n, perCheck, bound)
 	}
 }

@@ -201,6 +201,5 @@ func (c *Checker) check(ctx context.Context, h history.History, live *atomic.Int
 		live:      live,
 		hElemSize: c.hElemSize,
 	}
-	s.rt = history.RTOrder(s.ops)
 	return s.run()
 }

@@ -73,15 +73,11 @@ func precedesRT(a, b *Op) bool {
 	return !a.Pending && a.ResIndex < b.InvIndex
 }
 
-// Concurrent reports whether operations a and b overlap (neither really
-// precedes the other).
-func Concurrent(a, b Op) bool {
-	return !PrecedesRT(a, b) && !PrecedesRT(b, a)
-}
-
 // RTOrder computes the real-time order over the given operations as an
 // adjacency matrix: order[i][j] is true iff ops[i] ≺H ops[j]. The rows
-// share one n×n backing array.
+// share one n×n backing array. It is the reference definition of ≺H for
+// tests; the checker does not build it, because each thread's operations
+// form a chain under ≺H and one head per thread gives it the same facts.
 func RTOrder(ops []Op) [][]bool {
 	n := len(ops)
 	order := make([][]bool, n)

@@ -51,8 +51,8 @@ func TestPrecedesRTAndConcurrent(t *testing.T) {
 	// H2: t1, t2 overlap; t3 runs strictly after both.
 	ops := fig3H2().Operations()
 	t1op, t2op, t3op := ops[0], ops[1], ops[2]
-	if !Concurrent(t1op, t2op) {
-		t.Error("t1 and t2 should be concurrent in H2")
+	if PrecedesRT(t1op, t2op) || PrecedesRT(t2op, t1op) {
+		t.Error("t1 and t2 should be concurrent in H2: neither precedes the other")
 	}
 	if !PrecedesRT(t1op, t3op) || !PrecedesRT(t2op, t3op) {
 		t.Error("t1 and t2 should precede t3 in H2")
@@ -64,8 +64,8 @@ func TestPrecedesRTAndConcurrent(t *testing.T) {
 	ops1 := fig3H1().Operations()
 	for i := range ops1 {
 		for j := range ops1 {
-			if i != j && !Concurrent(ops1[i], ops1[j]) {
-				t.Errorf("ops %d and %d should be concurrent in H1", i, j)
+			if PrecedesRT(ops1[i], ops1[j]) {
+				t.Errorf("op %d should not precede op %d in H1: all overlap", i, j)
 			}
 		}
 	}
