@@ -28,6 +28,14 @@ go build ./...
 echo "== go test ./... =="
 go test ./...
 
+# The history scanner must accept exactly the language of the
+# Split/Fields parser it replaced, with the same diagnostics and limits.
+# go test replays only the seeds, which pin known edges, so fuzz it
+# against that reference (internal/history/parse_ref_test.go) for a
+# bounded time.
+echo "== history parser differential fuzz =="
+go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/history
+
 # perfbench is a module of its own (replace calgo => ../), so neither
 # the root vet nor the root tests compile it: vet and test it here, so a
 # library change that breaks the benchmark fails this gate first.

@@ -756,7 +756,15 @@ func benchMonitor() {
 		rows[k.name+" dfs"] = dfsRates
 		order = append(order, k.name+" monitor", k.name+" dfs")
 	}
-	title := "B12: checker throughput on unambiguous histories, specialized monitor vs DFS (events/sec; 0 = over budget)"
+	// The parse row reads the queue histories above from their
+	// interchange text, the stage every checked file goes through first.
+	parseRates := make([]float64, len(sizes))
+	for i, events := range sizes {
+		parseRates[i] = parseRate(calgo.FormatHistory(monitor.GenQueue(events/2, 4, 42, "B")), events)
+	}
+	rows["queue parse"] = parseRates
+	order = append(order, "queue parse")
+	title := "B12: checker throughput on unambiguous histories, specialized monitor vs DFS, and parsing the queue histories (events/sec; 0 = over budget)"
 	recordTable(title, "events", sizes, rows, order)
 	fmt.Println(title)
 	fmt.Printf("%-22s", "events")
@@ -772,6 +780,21 @@ func benchMonitor() {
 		fmt.Println()
 	}
 	fmt.Println()
+}
+
+// parseRate measures one B12 parse cell: repeated calgo.ParseHistory
+// calls on src within the measurement window (always at least one),
+// returning events/sec.
+func parseRate(src string, events int) float64 {
+	start := time.Now()
+	for runs := 1; ; runs++ {
+		if _, err := calgo.ParseHistory(src); err != nil {
+			panic(err)
+		}
+		if elapsed := time.Since(start); elapsed >= *duration {
+			return float64(runs*events) / elapsed.Seconds()
+		}
+	}
 }
 
 // checkerRate measures one B12 cell: repeated full checks of h within the

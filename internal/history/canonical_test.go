@@ -61,15 +61,15 @@ func TestFingerprintSeparatesObjectAndMethod(t *testing.T) {
 // TestFingerprintMatchesCanonical pins that renaming on the fly hashes
 // the same thing as renaming first.
 func TestFingerprintMatchesCanonical(t *testing.T) {
-	h := fingerprintHistory(50, 5)
+	h := exchangeHistory(50, 5)
 	if Fingerprint(h) != Fingerprint(Canonical(h)) {
 		t.Error("Fingerprint(h) != Fingerprint(Canonical(h))")
 	}
 }
 
-// fingerprintHistory builds a complete history of n events over the
+// exchangeHistory builds a complete history of n events over the
 // given number of threads, each thread exchanging in turn.
-func fingerprintHistory(n, threads int) History {
+func exchangeHistory(n, threads int) History {
 	h := make(History, 0, n)
 	for i := 0; len(h) < n; i++ {
 		th := ThreadID(100 + i%threads)
@@ -85,7 +85,7 @@ func fingerprintHistory(n, threads int) History {
 // as often as a 1,000-event one over the same threads, and at most 8
 // times.
 func TestFingerprintAllocsIndependentOfLength(t *testing.T) {
-	small, large := fingerprintHistory(1_000, 4), fingerprintHistory(10_000, 4)
+	small, large := exchangeHistory(1_000, 4), exchangeHistory(10_000, 4)
 	a := testing.AllocsPerRun(20, func() { _ = Fingerprint(small) })
 	b := testing.AllocsPerRun(20, func() { _ = Fingerprint(large) })
 	if a != b || b > 8 {

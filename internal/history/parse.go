@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Format renders h in the line-oriented interchange format accepted by
@@ -70,61 +72,139 @@ type Limits struct {
 // *SyntaxError values like any other parse failure: an oversized source
 // is reported at line 1, an event-count overflow at the offending line,
 // both naming the limit so the submitter knows what to shrink.
+//
+// It splits lines and fields in place and makes one allocation, the
+// result, sized by a count of the lines that are neither blank nor
+// comments. Object and Method are substrings of src.
 func ParseFileLimited(name, src string, lim Limits) (History, error) {
 	if lim.MaxBytes > 0 && len(src) > lim.MaxBytes {
 		return nil, &SyntaxError{File: name, Line: 1,
 			Msg: fmt.Sprintf("input is %d bytes, limit is %d", len(src), lim.MaxBytes)}
 	}
-	var h History
-	for ln, line := range strings.Split(src, "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
+	n := eventLines(src)
+	if n == 0 {
+		return nil, nil
+	}
+	// The shortest event line, "inv t0 o.m 0", has 12 bytes, so no more
+	// events than this can parse, however many short lines src has.
+	n = min(n, len(src)/12+1)
+	if lim.MaxEvents > 0 {
+		n = min(n, lim.MaxEvents)
+	}
+	h := make(History, 0, n)
+	var f [4]string
+	for ln, rest := 1, src; rest != ""; ln++ {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		i := eventStart(line)
+		if i < 0 {
 			continue
 		}
 		if lim.MaxEvents > 0 && len(h) >= lim.MaxEvents {
-			return nil, &SyntaxError{File: name, Line: ln + 1,
+			return nil, &SyntaxError{File: name, Line: ln,
 				Msg: fmt.Sprintf("history exceeds %d events", lim.MaxEvents)}
 		}
-		e, err := parseLine(line)
-		if err != nil {
-			return nil, &SyntaxError{File: name, Line: ln + 1, Msg: err.Error()}
+		nf := 0
+		for i < len(line) {
+			j := skip(line, i, false)
+			if nf < len(f) {
+				f[nf] = line[i:j]
+			}
+			nf++
+			i = skip(line, j, true)
 		}
-		h = append(h, e)
+		if nf != len(f) {
+			return nil, &SyntaxError{File: name, Line: ln,
+				Msg: fmt.Sprintf("want 4 fields %q, got %d", "kind thread obj.method value", nf)}
+		}
+		h = append(h, Event{})
+		if err := parseEvent(&h[len(h)-1], f[0], f[1], f[2], f[3]); err != nil {
+			return nil, &SyntaxError{File: name, Line: ln, Msg: err.Error()}
+		}
 	}
 	return h, nil
 }
 
-func parseLine(line string) (Event, error) {
-	fields := strings.Fields(line)
-	if len(fields) != 4 {
-		return Event{}, fmt.Errorf("want 4 fields %q, got %d", "kind thread obj.method value", len(fields))
+// eventLines counts the lines of src that are neither blank nor
+// comments: the most events src can hold.
+func eventLines(src string) int {
+	n := 0
+	for rest := src; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if eventStart(line) >= 0 {
+			n++
+		}
 	}
-	var kind EventKind
-	switch fields[0] {
+	return n
+}
+
+// eventStart returns the offset of the first non-space rune of line, or
+// -1 when the line is blank or a comment (its first non-space rune is
+// '#').
+func eventStart(line string) int {
+	i := skip(line, 0, true)
+	if i == len(line) || line[i] == '#' {
+		return -1
+	}
+	return i
+}
+
+// asciiSpace marks the ASCII white space of unicode.IsSpace.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// skip returns the offset of the first rune at or after i in s whose
+// white-space test differs from space, or len(s). White space is what
+// strings.Fields and strings.TrimSpace take it to be: unicode.IsSpace of
+// each rune, an invalid UTF-8 byte being a non-space rune.
+func skip(s string, i int, space bool) int {
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if asciiSpace[c] != space {
+				return i
+			}
+			i++
+			continue
+		}
+		r, w := utf8.DecodeRuneInString(s[i:])
+		if unicode.IsSpace(r) != space {
+			return i
+		}
+		i += w
+	}
+	return i
+}
+
+// parseEvent parses the four fields of an event line into e, checking
+// them in order: kind, thread, target, value.
+func parseEvent(e *Event, kind, thread, target, value string) error {
+	switch kind {
 	case "inv":
-		kind = Invoke
+		e.Kind = Invoke
 	case "res":
-		kind = Respond
+		e.Kind = Respond
 	default:
-		return Event{}, fmt.Errorf("unknown action kind %q", fields[0])
+		return fmt.Errorf("unknown action kind %q", kind)
 	}
-	t, err := parseThread(fields[1])
+	t, err := parseThread(thread)
 	if err != nil {
-		return Event{}, err
+		return err
 	}
-	dot := strings.LastIndexByte(fields[2], '.')
-	if dot <= 0 || dot == len(fields[2])-1 {
-		return Event{}, fmt.Errorf("malformed target %q, want obj.method", fields[2])
+	dot := strings.LastIndexByte(target, '.')
+	if dot <= 0 || dot == len(target)-1 {
+		return fmt.Errorf("malformed target %q, want obj.method", target)
 	}
-	o, f := ObjectID(fields[2][:dot]), Method(fields[2][dot+1:])
-	v, err := ParseValue(fields[3])
+	v, err := ParseValue(value)
 	if err != nil {
-		return Event{}, err
+		return err
 	}
-	if kind == Invoke {
-		return Inv(t, o, f, v), nil
+	e.Thread, e.Object, e.Method = t, ObjectID(target[:dot]), Method(target[dot+1:])
+	if e.Kind == Invoke {
+		e.Arg = v
+	} else {
+		e.Ret = v
 	}
-	return Res(t, o, f, v), nil
+	return nil
 }
 
 func parseThread(s string) (ThreadID, error) {

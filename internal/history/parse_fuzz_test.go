@@ -38,24 +38,32 @@ func TestParseRejectsSignedThreadIDs(t *testing.T) {
 	}
 }
 
+// parseSeeds seed FuzzParseHistory and, with more edge cases,
+// FuzzParseMatchesReference.
+var parseSeeds = []string{
+	"inv t1 E.exchange 3\nres t1 E.exchange (true,4)\n",
+	"# comment\n\ninv t2 AR.E[3].exchange 5\n",
+	"res t9 S.pop (false,0)",
+	"inv t1 E.exchange",   // truncated line
+	"inv t1 E.exchange (", // truncated value
+	"zap\x00zap",
+	strings.Repeat("inv t1 E.exchange 3\n", 100),
+	// Regression seeds for the limit path: an event-count overflow whose
+	// offending line follows comments and blanks (the reported line must
+	// be the event's, not the comment's), and an over-byte-limit input.
+	"# prelude\n\ninv t1 E.exchange 1\nres t1 E.exchange (true,2)\ninv t2 E.exchange 2\n",
+	strings.Repeat("#", 4<<10),
+}
+
 // FuzzParseHistory asserts the parser's robustness contract: it never
 // panics on arbitrary (including truncated) input, and any input it
 // accepts round-trips through Format and back unchanged. The limited
 // parser must uphold the same contract — every rejection a *SyntaxError,
 // never a panic — under limits small enough that the seeds trip them.
 func FuzzParseHistory(f *testing.F) {
-	f.Add("inv t1 E.exchange 3\nres t1 E.exchange (true,4)\n")
-	f.Add("# comment\n\ninv t2 AR.E[3].exchange 5\n")
-	f.Add("res t9 S.pop (false,0)")
-	f.Add("inv t1 E.exchange")   // truncated line
-	f.Add("inv t1 E.exchange (") // truncated value
-	f.Add("zap\x00zap")
-	f.Add(strings.Repeat("inv t1 E.exchange 3\n", 100))
-	// Regression seeds for the limit path: an event-count overflow whose
-	// offending line follows comments and blanks (the reported line must
-	// be the event's, not the comment's), and an over-byte-limit input.
-	f.Add("# prelude\n\ninv t1 E.exchange 1\nres t1 E.exchange (true,2)\ninv t2 E.exchange 2\n")
-	f.Add(strings.Repeat("#", 4<<10))
+	for _, src := range parseSeeds {
+		f.Add(src)
+	}
 	f.Fuzz(func(t *testing.T, src string) {
 		if _, lerr := ParseFileLimited("fuzz", src, Limits{MaxBytes: 256, MaxEvents: 2}); lerr != nil {
 			var se *SyntaxError

@@ -1,7 +1,9 @@
 package history
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -71,5 +73,55 @@ func TestParseErrors(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "line 1") {
 			t.Errorf("Parse(%q) error should cite line 1: %v", src, err)
 		}
+	}
+}
+
+// TestParseAllocatesOnce pins the scanner's one allocation, the result:
+// lines and fields are substrings of the source.
+func TestParseAllocatesOnce(t *testing.T) {
+	src := Format(exchangeHistory(10_000, 4))
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := Parse(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("parsing a 10k-event history made %v allocations, want at most 1", allocs)
+	}
+}
+
+// TestParseBlankFloodBounded: the result is sized by the lines that can
+// hold events, so a flood of blank or comment lines costs no memory of
+// its own.
+func TestParseBlankFloodBounded(t *testing.T) {
+	const event = "inv t1 E.exchange 3\n"
+	for _, flood := range []string{"\n", "\r\n", "  # comment\n"} {
+		src := strings.Repeat(flood, (1<<20)/len(flood)) + event
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h, err := Parse(src)
+		runtime.ReadMemStats(&after)
+		if err != nil || len(h) != 1 {
+			t.Fatalf("flood of %q: got %d events, error %v; want 1 event", flood, len(h), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+			t.Errorf("flood of %q: parsing allocated %d bytes, want at most 64 KiB", flood, got)
+		}
+	}
+}
+
+func BenchmarkParse(b *testing.B) {
+	for _, events := range []int{1_000, 100_000} {
+		src := Format(exchangeHistory(events, 4))
+		b.Run(fmt.Sprintf("events=%d", events), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(src)))
+			for i := 0; i < b.N; i++ {
+				if _, err := Parse(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+		})
 	}
 }

@@ -74,15 +74,15 @@ func ParseValue(s string) (Value, error) {
 		return Bool(s == "true"), nil
 	case strings.HasPrefix(s, "(") && strings.HasSuffix(s, ")"):
 		body := s[1 : len(s)-1]
-		parts := strings.SplitN(body, ",", 2)
-		if len(parts) != 2 {
+		comma := strings.IndexByte(body, ',')
+		if comma < 0 {
 			return Value{}, fmt.Errorf("history: malformed pair %q", s)
 		}
-		bs := strings.TrimSpace(parts[0])
+		bs := strings.TrimSpace(body[:comma])
 		if bs != "true" && bs != "false" {
 			return Value{}, fmt.Errorf("history: malformed pair bool %q", s)
 		}
-		n, err := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 64)
+		n, err := strconv.ParseInt(strings.TrimSpace(body[comma+1:]), 10, 64)
 		if err != nil {
 			return Value{}, fmt.Errorf("history: malformed pair int %q: %w", s, err)
 		}

@@ -232,10 +232,11 @@ func (m *StreamManager) Open(client string, req StreamRequest) (StreamDoc, error
 }
 
 // Feed parses one batch of events (the line-oriented history
-// interchange format) and feeds it to the stream in order. The first
-// ill-formed event stops the batch with a *RequestError; prior events
-// in the batch stay fed — exactly the semantics of observing a live
-// system up to a corrupt record.
+// interchange format) and feeds it to the stream in order. A batch that
+// does not parse is refused whole with a *RequestError citing its
+// batch:<line>, and nothing of it is fed. A parsed event that the stream
+// rejects stops the batch with a *RequestError; the events before it in
+// the batch stay fed.
 func (m *StreamManager) Feed(id, batch string) (StreamDoc, error) {
 	h, err := history.ParseFileLimited("batch", batch, history.Limits{
 		MaxBytes:  m.cfg.MaxBatchBytes,

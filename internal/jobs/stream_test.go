@@ -3,6 +3,7 @@ package jobs
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -311,6 +312,31 @@ func TestStreamHTTPPartialBatch(t *testing.T) {
 	}
 	if out.Error == "" || out.Verdict.Events != 2 {
 		t.Fatalf("partial batch response = %+v, want error + 2 fed events", out)
+	}
+}
+
+// TestStreamHTTPUnparsableBatchFeedsNothing: a batch whose third line
+// does not parse is refused whole with its batch:<line> diagnostic, and
+// its two well-formed lines are not fed.
+func TestStreamHTTPUnparsableBatchFeedsNothing(t *testing.T) {
+	_, srv := newStreamServer(t, StreamConfig{})
+	f := decodeFrame(t, openStream(t, srv.URL, StreamRequest{Spec: "queue"}))
+
+	resp := postBatch(t, srv.URL, f.ID, "inv t1 E.enq 1\nres t1 E.enq true\ninv t1 E.deq\n")
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "batch:3:") {
+		t.Fatalf("unparsable batch: status %d, body %q; want 400 citing batch:3", resp.StatusCode, body)
+	}
+	r, err := http.Get(srv.URL + "/streams/" + f.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := decodeFrame(t, r); got.Verdict.Events != 0 {
+		t.Errorf("after an unparsable batch the stream has %d events, want 0", got.Verdict.Events)
 	}
 }
 
