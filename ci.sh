@@ -36,6 +36,13 @@ go test ./...
 echo "== history parser differential fuzz =="
 go test -run '^$' -fuzz '^FuzzParseMatchesReference$' -fuzztime 10s ./internal/history
 
+# Spec states are varint sequences whose strings are the memo keys, so
+# the codec must stay canonical: equal sequences, equal bytes. go test
+# replays only the seeds; fuzz the codec against a []int64 reference
+# for a bounded time.
+echo "== spec state codec fuzz =="
+go test -run '^$' -fuzz '^FuzzInts$' -fuzztime 10s ./internal/spec
+
 # perfbench is a module of its own (replace calgo => ../), so neither
 # the root vet nor the root tests compile it: vet and test it here, so a
 # library change that breaks the benchmark fails this gate first.

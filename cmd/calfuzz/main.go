@@ -37,7 +37,10 @@
 // object by its spec: msqueue, elimstack and pqueue runs go through a
 // monitor stepper, which falls back to the exact DFS on the buffered
 // prefix when it punts; the other objects run the windowed DFS re-check.
-// -engine picks only the batch side of the comparison.
+// -engine picks only the batch side of the comparison. With -emit the
+// soak writes each streamed history, corruption included, as
+// <object>-soak-<seed>.txt, so a slow or failing iteration replays with
+// calcheck.
 //
 // Observability: -metrics-json aggregates the CAL checkers' counters
 // across every batch into one JSON document, -trace streams sampled
@@ -118,9 +121,14 @@ func run() int {
 	defer stop()
 
 	var err error
-	if *soak > 0 {
-		err = soakStream(ctx, *soak, *seed, *object, shared)
-	} else {
+	if *emit != "" {
+		if err = os.MkdirAll(*emit, 0o755); err != nil {
+			err = fmt.Errorf("%w: creating -emit directory: %v", errUsage, err)
+		}
+	}
+	if err == nil && *soak > 0 {
+		err = soakStream(ctx, *soak, *seed, *object, *emit, shared)
+	} else if err == nil {
 		err = sweep(ctx, *iters, *seed, *object, *chaos, *emit, shared)
 	}
 	exit := fuzzExit(err, shared.Logger())
@@ -141,12 +149,6 @@ func sweep(ctx context.Context, iters int, seed int64, object, chaos, emit strin
 	} else if _, ok := calgo.ChaosPolicies()[chaos]; !ok {
 		return fmt.Errorf("%w: unknown chaos policy %q", errUsage, chaos)
 	}
-	if emit != "" {
-		if err := os.MkdirAll(emit, 0o755); err != nil {
-			return fmt.Errorf("%w: creating -emit directory: %v", errUsage, err)
-		}
-	}
-
 	targets := []string{"exchanger", "elimstack", "syncqueue", "dualstack", "dualqueue", "msqueue", "pqueue", "snapshot"}
 	if object != "all" {
 		targets = []string{object}
@@ -169,11 +171,8 @@ func sweep(ctx context.Context, iters int, seed int64, object, chaos, emit strin
 						target, i, policy, seed+int64(i), err)
 				}
 				run.iter, run.seed = i, seed+int64(i)
-				if emit != "" {
-					name := filepath.Join(emit, fmt.Sprintf("%s-%s-%d.txt", target, policy, run.seed))
-					if werr := os.WriteFile(name, []byte(calgo.FormatHistory(run.h)), 0o644); werr != nil {
-						return fmt.Errorf("writing -emit history: %w", werr)
-					}
+				if err := emitHistory(emit, fmt.Sprintf("%s-%s-%d.txt", target, policy, run.seed), run.h); err != nil {
+					return err
 				}
 				runs = append(runs, run)
 			}
@@ -197,12 +196,25 @@ func sweep(ctx context.Context, iters int, seed int64, object, chaos, emit strin
 	return nil
 }
 
+// emitHistory writes h as dir/name in the interchange format, for replay
+// with calcheck; an empty dir writes nothing.
+func emitHistory(dir, name string, h calgo.History) error {
+	if dir == "" {
+		return nil
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(calgo.FormatHistory(h)), 0o644); err != nil {
+		return fmt.Errorf("writing -emit history: %w", err)
+	}
+	return nil
+}
+
 // soakStream is the -soak-stream mode: each fuzzed history is replayed
 // through calgo.NewStream one event at a time and the streaming verdict
 // is cross-validated against the batch CAL verdict of the identical
 // history. Every other run has one removal response corrupted so the
-// soak exercises both directions of the agreement contract.
-func soakStream(ctx context.Context, iters int, seed int64, object string, shared *cliflags.Set) error {
+// soak exercises both directions of the agreement contract. -emit writes
+// each streamed history, corruption included, as <object>-soak-<seed>.txt.
+func soakStream(ctx context.Context, iters int, seed int64, object, emit string, shared *cliflags.Set) error {
 	targets := []string{"exchanger", "elimstack", "syncqueue", "dualstack", "dualqueue", "msqueue", "pqueue", "snapshot"}
 	if object != "all" {
 		targets = []string{object}
@@ -230,6 +242,9 @@ func soakStream(ctx context.Context, iters int, seed int64, object string, share
 					h = bad
 					corrupted++
 				}
+			}
+			if err := emitHistory(emit, fmt.Sprintf("%s-soak-%d.txt", target, seed+int64(i)), h); err != nil {
+				return err
 			}
 			label := fmt.Sprintf("%s soak iteration %d (seed %d)", target, i, seed+int64(i))
 			if err := crossValidateStream(ctx, label, run.sp, h, shared); err != nil {

@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
@@ -69,15 +70,18 @@ type productState struct {
 
 func (s productState) Key() string { return s.key }
 
+// makeState keys the product as each part's object, '=', its key's length
+// and its key. Part keys may hold any byte, so only the length prefix
+// keeps the product key injective.
 func (p *Product) makeState(parts []State) productState {
 	var b strings.Builder
+	var buf [binary.MaxVarintLen64]byte
 	for i, part := range parts {
-		if i > 0 {
-			b.WriteByte('\x1f')
-		}
+		k := part.Key()
 		b.WriteString(string(p.order[i]))
 		b.WriteByte('=')
-		b.WriteString(part.Key())
+		b.Write(binary.AppendUvarint(buf[:0], uint64(len(k))))
+		b.WriteString(k)
 	}
 	return productState{parts: parts, key: b.String()}
 }

@@ -57,21 +57,11 @@ func (d DualQueue) Step(s State, el trace.Element) (State, error) {
 		if !ok {
 			return nil, fmt.Errorf("foreign state %T", s)
 		}
-		enq, deq := el.Ops[0], el.Ops[1]
-		if enq.Method != MethodEnq {
-			enq, deq = deq, enq
-		}
-		if enq.Method != MethodEnq || deq.Method != MethodDeq {
-			return nil, fmt.Errorf("a fulfilment pairs one enq with one deq: %s", el)
-		}
-		if enq.Arg.Kind != history.KindInt || enq.Ret != history.Bool(true) {
-			return nil, fmt.Errorf("fulfilment enq must be int ▷ true: %s", el)
-		}
-		if deq.Ret != history.Pair(true, enq.Arg.N) {
-			return nil, fmt.Errorf("fulfilled deq must return the enqueued value %d: %s", enq.Arg.N, el)
+		if err := handOff(el, MethodEnq, MethodDeq); err != nil {
+			return nil, err
 		}
 		if qs.items != "" {
-			return nil, fmt.Errorf("fulfilment requires the empty queue (FIFO), state [%s]: %s", qs.items, el)
+			return nil, &rejection{format: "fulfilment requires the empty queue (FIFO), state [%[2]s]: %[1]s", el: el, state: qs.items}
 		}
 		return qs, nil
 	default:
@@ -85,24 +75,7 @@ func (d DualQueue) ResolveReturns(s State, ops []trace.Operation, pendingIdx []i
 	case 1:
 		return Queue{Obj: d.Obj}.ResolveReturns(s, ops, pendingIdx)
 	case 2:
-		var enqArg history.Value
-		for _, op := range ops {
-			if op.Method == MethodEnq {
-				enqArg = op.Arg
-			}
-		}
-		if enqArg.IsZero() {
-			return nil
-		}
-		rets := make([]history.Value, 0, len(pendingIdx))
-		for _, i := range pendingIdx {
-			if ops[i].Method == MethodEnq {
-				rets = append(rets, history.Bool(true))
-			} else {
-				rets = append(rets, history.Pair(true, enqArg.N))
-			}
-		}
-		return [][]history.Value{rets}
+		return resolveHandOff(ops, pendingIdx, MethodEnq)
 	default:
 		return nil
 	}

@@ -51,18 +51,8 @@ func (d DualStack) Step(s State, el trace.Element) (State, error) {
 	case 1:
 		return Stack{Obj: d.Obj}.Step(s, el)
 	case 2:
-		push, pop := el.Ops[0], el.Ops[1]
-		if push.Method != MethodPush {
-			push, pop = pop, push
-		}
-		if push.Method != MethodPush || pop.Method != MethodPop {
-			return nil, fmt.Errorf("a fulfilment pairs one push with one pop: %s", el)
-		}
-		if push.Arg.Kind != history.KindInt || push.Ret != history.Bool(true) {
-			return nil, fmt.Errorf("fulfilment push must be int ▷ true: %s", el)
-		}
-		if pop.Ret != history.Pair(true, push.Arg.N) {
-			return nil, fmt.Errorf("fulfilled pop must return the pushed value %d: %s", push.Arg.N, el)
+		if err := handOff(el, MethodPush, MethodPop); err != nil {
+			return nil, err
 		}
 		return s, nil // push immediately popped: state unchanged
 	default:
@@ -76,24 +66,7 @@ func (d DualStack) ResolveReturns(s State, ops []trace.Operation, pendingIdx []i
 	case 1:
 		return Stack{Obj: d.Obj}.ResolveReturns(s, ops, pendingIdx)
 	case 2:
-		var pushArg history.Value
-		for _, op := range ops {
-			if op.Method == MethodPush {
-				pushArg = op.Arg
-			}
-		}
-		if pushArg.IsZero() {
-			return nil
-		}
-		rets := make([]history.Value, 0, len(pendingIdx))
-		for _, i := range pendingIdx {
-			if ops[i].Method == MethodPush {
-				rets = append(rets, history.Bool(true))
-			} else {
-				rets = append(rets, history.Pair(true, pushArg.N))
-			}
-		}
-		return [][]history.Value{rets}
+		return resolveHandOff(ops, pendingIdx, MethodPush)
 	default:
 		return nil
 	}

@@ -63,19 +63,19 @@ func (e Exchanger) Step(s State, el trace.Element) (State, error) {
 	case 1:
 		op := el.Ops[0]
 		if op.Ret.B {
-			return nil, reject("a successful exchange cannot stand alone", el)
+			return nil, reject("a successful exchange cannot stand alone: %[1]s", el)
 		}
 		if op.Ret.N != op.Arg.N {
-			return nil, reject("failed exchange must return its own value", el)
+			return nil, reject("failed exchange must return its own value: %[1]s", el)
 		}
 		return s, nil
 	case 2:
 		a, b := el.Ops[0], el.Ops[1]
 		if !a.Ret.B || !b.Ret.B {
-			return nil, reject("both operations of a swap must succeed", el)
+			return nil, reject("both operations of a swap must succeed: %[1]s", el)
 		}
 		if a.Ret.N != b.Arg.N || b.Ret.N != a.Arg.N {
-			return nil, reject("swap values do not cross", el)
+			return nil, reject("swap values do not cross: %[1]s", el)
 		}
 		// NewElement already guarantees a.Thread != b.Thread.
 		return s, nil

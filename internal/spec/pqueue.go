@@ -2,9 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"calgo/internal/history"
 	"calgo/internal/trace"
@@ -16,51 +13,13 @@ const (
 	MethodExtractMin history.Method = "extractmin"
 )
 
-// pqueueState is an immutable min-priority queue of integers with a
-// canonical sorted encoding; the first encoded element is the minimum.
+// pqueueState is an immutable min-priority queue of integers; items holds
+// them in ascending order, so its front is the minimum.
 type pqueueState struct {
-	items string // sorted canonical encoding, e.g. "1,2,3"
+	items ints
 }
 
-func (p pqueueState) Key() string { return p.items }
-
-func (p pqueueState) slice() []int64 {
-	if p.items == "" {
-		return nil
-	}
-	parts := strings.Split(p.items, ",")
-	out := make([]int64, len(parts))
-	for i, s := range parts {
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			panic("spec: corrupt pqueue state " + p.items)
-		}
-		out[i] = n
-	}
-	return out
-}
-
-func encodePQueue(items []int64) pqueueState {
-	if len(items) == 0 {
-		return pqueueState{}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	parts := make([]string, len(items))
-	for i, v := range items {
-		parts[i] = strconv.FormatInt(v, 10)
-	}
-	return pqueueState{items: strings.Join(parts, ",")}
-}
-
-func (p pqueueState) insert(v int64) pqueueState { return encodePQueue(append(p.slice(), v)) }
-
-func (p pqueueState) extractMin() (pqueueState, int64, bool) {
-	items := p.slice()
-	if len(items) == 0 {
-		return p, 0, false
-	}
-	return encodePQueue(items[1:]), items[0], true
-}
+func (p pqueueState) Key() string { return string(p.items) }
 
 // PQueue is the sequential min-priority-queue specification: insert(v) ▷
 // true inserts, extractmin() ▷ (true,v) removes and returns the minimum,
@@ -110,28 +69,28 @@ func (p PQueue) Step(s State, el trace.Element) (State, error) {
 		if op.Arg.Kind != history.KindInt || op.Ret.Kind != history.KindBool || !op.Ret.B {
 			return nil, fmt.Errorf("insert must be int ▷ true, got %s ▷ %s", op.Arg, op.Ret)
 		}
-		return ps.insert(op.Arg.N), nil
+		return pqueueState{ps.items.insert(op.Arg.N)}, nil
 	case MethodExtractMin:
 		if op.Arg.Kind != history.KindUnit || op.Ret.Kind != history.KindPair {
 			return nil, fmt.Errorf("extractmin must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
 		}
 		if !op.Ret.B {
 			if op.Ret.N != 0 {
-				return nil, fmt.Errorf("failed extractmin must return (false,0): %s", el)
+				return nil, reject("failed extractmin must return (false,0): %[1]s", el)
 			}
 			if ps.items != "" {
-				return nil, fmt.Errorf("extractmin may fail only on the empty queue, state [%s]", ps.items)
+				return nil, &rejection{format: "extractmin may fail only on the empty queue, state [%[2]s]", state: ps.items}
 			}
 			return ps, nil
 		}
-		next, v, nonEmpty := ps.extractMin()
+		v, rest, nonEmpty := ps.items.front()
 		if !nonEmpty {
-			return nil, fmt.Errorf("successful extractmin on empty queue: %s", el)
+			return nil, reject("successful extractmin on empty queue: %[1]s", el)
 		}
 		if v != op.Ret.N {
-			return nil, fmt.Errorf("extractmin returned %d but minimum is %d", op.Ret.N, v)
+			return nil, &rejection{format: "extractmin returned %[3]d but minimum is %[4]d", n: op.Ret.N, m: v}
 		}
-		return next, nil
+		return pqueueState{rest}, nil
 	default:
 		return nil, fmt.Errorf("unknown method %s", op.Method)
 	}
@@ -150,7 +109,7 @@ func (p PQueue) ResolveReturns(s State, ops []trace.Operation, pendingIdx []int)
 	case MethodInsert:
 		return [][]history.Value{{history.Bool(true)}}
 	case MethodExtractMin:
-		if _, v, nonEmpty := ps.extractMin(); nonEmpty {
+		if v, _, nonEmpty := ps.items.front(); nonEmpty {
 			return [][]history.Value{{history.Pair(true, v)}}
 		}
 		return [][]history.Value{{history.Pair(false, 0)}}

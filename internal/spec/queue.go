@@ -2,8 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"calgo/internal/history"
 	"calgo/internal/trace"
@@ -15,40 +13,13 @@ const (
 	MethodDeq history.Method = "deq"
 )
 
-// queueState is an immutable FIFO queue of integers; the first encoded
-// element is the head.
+// queueState is an immutable FIFO queue of integers; the front of items
+// is the head.
 type queueState struct {
-	items string
+	items ints
 }
 
-func (q queueState) Key() string { return q.items }
-
-func (q queueState) enq(v int64) queueState {
-	enc := strconv.FormatInt(v, 10)
-	if q.items == "" {
-		return queueState{items: enc}
-	}
-	return queueState{items: q.items + "," + enc}
-}
-
-func (q queueState) deq() (queueState, int64, bool) {
-	if q.items == "" {
-		return q, 0, false
-	}
-	i := strings.IndexByte(q.items, ',')
-	if i < 0 {
-		n, err := strconv.ParseInt(q.items, 10, 64)
-		if err != nil {
-			panic("spec: corrupt queue state " + q.items)
-		}
-		return queueState{}, n, true
-	}
-	n, err := strconv.ParseInt(q.items[:i], 10, 64)
-	if err != nil {
-		panic("spec: corrupt queue state " + q.items)
-	}
-	return queueState{items: q.items[i+1:]}, n, true
-}
+func (q queueState) Key() string { return string(q.items) }
 
 // Queue is the sequential FIFO queue specification: enq(v) ▷ true enqueues,
 // deq() ▷ (true,v) dequeues the head, deq() ▷ (false,0) is admitted only on
@@ -96,28 +67,28 @@ func (q Queue) Step(s State, el trace.Element) (State, error) {
 		if op.Arg.Kind != history.KindInt || op.Ret.Kind != history.KindBool || !op.Ret.B {
 			return nil, fmt.Errorf("enq must be int ▷ true, got %s ▷ %s", op.Arg, op.Ret)
 		}
-		return qs.enq(op.Arg.N), nil
+		return queueState{qs.items.push(op.Arg.N)}, nil
 	case MethodDeq:
 		if op.Arg.Kind != history.KindUnit || op.Ret.Kind != history.KindPair {
 			return nil, fmt.Errorf("deq must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
 		}
 		if !op.Ret.B {
 			if op.Ret.N != 0 {
-				return nil, fmt.Errorf("failed deq must return (false,0): %s", el)
+				return nil, reject("failed deq must return (false,0): %[1]s", el)
 			}
 			if qs.items != "" {
-				return nil, fmt.Errorf("deq may fail only on the empty queue, state [%s]", qs.items)
+				return nil, &rejection{format: "deq may fail only on the empty queue, state [%[2]s]", state: qs.items}
 			}
 			return qs, nil
 		}
-		next, v, nonEmpty := qs.deq()
+		v, rest, nonEmpty := qs.items.front()
 		if !nonEmpty {
-			return nil, fmt.Errorf("successful deq on empty queue: %s", el)
+			return nil, reject("successful deq on empty queue: %[1]s", el)
 		}
 		if v != op.Ret.N {
-			return nil, fmt.Errorf("deq returned %d but head is %d", op.Ret.N, v)
+			return nil, &rejection{format: "deq returned %[3]d but head is %[4]d", n: op.Ret.N, m: v}
 		}
-		return next, nil
+		return queueState{rest}, nil
 	default:
 		return nil, fmt.Errorf("unknown method %s", op.Method)
 	}
@@ -136,7 +107,7 @@ func (q Queue) ResolveReturns(s State, ops []trace.Operation, pendingIdx []int) 
 	case MethodEnq:
 		return [][]history.Value{{history.Bool(true)}}
 	case MethodDeq:
-		if _, v, nonEmpty := qs.deq(); nonEmpty {
+		if v, _, nonEmpty := qs.items.front(); nonEmpty {
 			return [][]history.Value{{history.Pair(true, v)}}
 		}
 		return [][]history.Value{{history.Pair(false, 0)}}

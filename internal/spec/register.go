@@ -72,7 +72,7 @@ func (r Register) Step(s State, el trace.Element) (State, error) {
 			return nil, fmt.Errorf("read must be () ▷ int, got %s ▷ %s", op.Arg, op.Ret)
 		}
 		if op.Ret.N != rs.v {
-			return nil, fmt.Errorf("read returned %d but register holds %d", op.Ret.N, rs.v)
+			return nil, &rejection{format: "read returned %[3]d but register holds %[4]d", n: op.Ret.N, m: rs.v}
 		}
 		return rs, nil
 	default:

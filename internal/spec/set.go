@@ -2,9 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"calgo/internal/history"
 	"calgo/internal/trace"
@@ -17,60 +14,13 @@ const (
 	MethodContains history.Method = "contains"
 )
 
-// setState is an immutable integer set with a canonical sorted encoding.
+// setState is an immutable integer set; items holds the members in
+// ascending order.
 type setState struct {
-	items string // sorted canonical encoding, e.g. "1,2,3"
+	items ints
 }
 
-func (s setState) Key() string { return s.items }
-
-func (s setState) slice() []int64 {
-	if s.items == "" {
-		return nil
-	}
-	parts := strings.Split(s.items, ",")
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		n, err := strconv.ParseInt(p, 10, 64)
-		if err != nil {
-			panic("spec: corrupt set state " + s.items)
-		}
-		out[i] = n
-	}
-	return out
-}
-
-func encodeSet(items []int64) setState {
-	if len(items) == 0 {
-		return setState{}
-	}
-	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
-	parts := make([]string, len(items))
-	for i, v := range items {
-		parts[i] = strconv.FormatInt(v, 10)
-	}
-	return setState{items: strings.Join(parts, ",")}
-}
-
-func (s setState) has(v int64) bool {
-	for _, x := range s.slice() {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func (s setState) add(v int64) setState { return encodeSet(append(s.slice(), v)) }
-func (s setState) remove(v int64) setState {
-	items := s.slice()
-	for i, x := range items {
-		if x == v {
-			return encodeSet(append(items[:i], items[i+1:]...))
-		}
-	}
-	return s
-}
+func (s setState) Key() string { return string(s.items) }
 
 // Set is the sequential integer-set specification: add(v) ▷ b with b true
 // iff v was absent (and is now a member), remove(v) ▷ b with b true iff v
@@ -119,37 +69,30 @@ func (st Set) Step(s State, el trace.Element) (State, error) {
 		return nil, fmt.Errorf("set methods are int ▷ bool, got %s ▷ %s", op.Arg, op.Ret)
 	}
 	v, ret := op.Arg.N, op.Ret.B
+	member := ss.items.has(v)
 	switch op.Method {
 	case MethodAdd:
-		if ss.has(v) {
-			if ret {
-				return nil, fmt.Errorf("add(%d) ▷ true but %d is already a member", v, v)
-			}
+		if ret && !member {
+			return setState{ss.items.insert(v)}, nil
+		}
+		if !ret && member {
 			return ss, nil
 		}
-		if !ret {
-			return nil, fmt.Errorf("add(%d) ▷ false but %d is absent", v, v)
-		}
-		return ss.add(v), nil
 	case MethodRemove:
-		if ss.has(v) {
-			if !ret {
-				return nil, fmt.Errorf("remove(%d) ▷ false but %d is a member", v, v)
-			}
-			return ss.remove(v), nil
+		if ret && member {
+			return setState{ss.items.remove(v)}, nil
 		}
-		if ret {
-			return nil, fmt.Errorf("remove(%d) ▷ true but %d is absent", v, v)
+		if !ret && !member {
+			return ss, nil
 		}
-		return ss, nil
 	case MethodContains:
-		if ss.has(v) != ret {
-			return nil, fmt.Errorf("contains(%d) ▷ %v but membership is %v", v, ret, ss.has(v))
+		if ret == member {
+			return ss, nil
 		}
-		return ss, nil
 	default:
 		return nil, fmt.Errorf("unknown method %s", op.Method)
 	}
+	return nil, &rejection{format: "%[1]s contradicts the set [%[2]s]", el: el, state: ss.items}
 }
 
 // ResolveReturns implements PendingResolver: pending set operations
@@ -168,9 +111,9 @@ func (st Set) ResolveReturns(s State, ops []trace.Operation, pendingIdx []int) [
 	v := ops[0].Arg.N
 	switch ops[0].Method {
 	case MethodAdd:
-		return [][]history.Value{{history.Bool(!ss.has(v))}}
+		return [][]history.Value{{history.Bool(!ss.items.has(v))}}
 	case MethodRemove, MethodContains:
-		return [][]history.Value{{history.Bool(ss.has(v))}}
+		return [][]history.Value{{history.Bool(ss.items.has(v))}}
 	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package spec
 
 import (
+	"encoding/binary"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"calgo/internal/history"
 	"calgo/internal/trace"
@@ -51,23 +49,19 @@ func NewSnapshot(o history.ObjectID, n int) Snapshot {
 	return Snapshot{Obj: o, Threads: n}
 }
 
-// snapshotState is the set of values written so far, canonically encoded,
-// plus the set of threads that already updated (one-shot).
+// snapshotState holds the values written so far and the threads that
+// already updated (one-shot), each in ascending order, and the number of
+// values.
 type snapshotState struct {
-	values  string // sorted comma-joined values
-	threads string // sorted comma-joined thread ids
-	count   int    // number of values written
+	values, threads ints
+	count           int
 }
 
-func (s snapshotState) Key() string { return s.values + "|" + s.threads }
-
-func encodeSorted(ns []int64) string {
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	parts := make([]string, len(ns))
-	for i, n := range ns {
-		parts[i] = strconv.FormatInt(n, 10)
-	}
-	return strings.Join(parts, ",")
+// Key length-prefixes the values, so it splits between the two sequences
+// in one way only.
+func (s snapshotState) Key() string {
+	var buf [binary.MaxVarintLen64]byte
+	return string(binary.AppendUvarint(buf[:0], uint64(len(s.values)))) + string(s.values) + string(s.threads)
 }
 
 // Name implements Spec.
@@ -102,53 +96,26 @@ func (sp Snapshot) Step(s State, el trace.Element) (State, error) {
 	if len(el.Ops) > sp.MaxElementSize() {
 		return nil, fmt.Errorf("block of %d operations exceeds %d threads", len(el.Ops), sp.Threads)
 	}
-	seen := map[history.ThreadID]bool{}
-	for _, t := range strings.Split(ss.threads, ",") {
-		if t == "" {
-			continue
-		}
-		n, err := strconv.Atoi(t)
-		if err != nil {
-			return nil, fmt.Errorf("corrupt state %q", ss.threads)
-		}
-		seen[history.ThreadID(n)] = true
-	}
-	newCard := ss.count + len(el.Ops)
-	var newVals []int64
-	var newThreads []int64
-	for _, t := range strings.Split(ss.values, ",") {
-		if t == "" {
-			continue
-		}
-		n, _ := strconv.ParseInt(t, 10, 64)
-		newVals = append(newVals, n)
-	}
-	for t := range seen {
-		newThreads = append(newThreads, int64(t))
-	}
-	for _, op := range el.Ops {
+	next := snapshotState{values: ss.values, threads: ss.threads, count: ss.count + len(el.Ops)}
+	for k, op := range el.Ops {
 		if op.Method != MethodUpdate {
 			return nil, fmt.Errorf("unknown method %s", op.Method)
 		}
 		if op.Arg.Kind != history.KindInt {
 			return nil, fmt.Errorf("update argument must be an int, got %s", op.Arg)
 		}
-		if seen[op.Thread] {
-			return nil, fmt.Errorf("thread %s updated twice (one-shot object)", op.Thread)
+		one := trace.Element{Object: el.Object, Ops: el.Ops[k : k+1]}
+		if next.threads.has(int64(op.Thread)) {
+			return nil, reject("the thread of %[1]s updated twice (one-shot object)", one)
 		}
-		seen[op.Thread] = true
-		if op.Ret != history.Pair(true, int64(newCard)) {
-			return nil, fmt.Errorf("operation %s returned view of cardinality %s, block requires %d (immediacy)",
-				op, op.Ret, newCard)
+		if op.Ret != history.Pair(true, int64(next.count)) {
+			return nil, &rejection{format: "operation %[1]s returned a view of another cardinality, block requires %[3]d (immediacy)",
+				el: one, n: int64(next.count)}
 		}
-		newVals = append(newVals, op.Arg.N)
-		newThreads = append(newThreads, int64(op.Thread))
+		next.values = next.values.insert(op.Arg.N)
+		next.threads = next.threads.insert(int64(op.Thread))
 	}
-	return snapshotState{
-		values:  encodeSorted(newVals),
-		threads: encodeSorted(newThreads),
-		count:   newCard,
-	}, nil
+	return next, nil
 }
 
 // BlockElement builds a snapshot block element: ops[i] = (thread, value);

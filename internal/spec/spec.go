@@ -75,3 +75,48 @@ func (emptyState) Key() string { return "" }
 
 // Empty returns the canonical stateless State.
 func Empty() State { return emptyState{} }
+
+// handOff checks the pair el as a hand-off: give(v) ▷ true passes v to
+// recv() ▷ (true,v), and both seem to take effect at once. It is the sync
+// queue's put/take rendezvous and the dual structures' fulfilment; each
+// spec applies its own state condition on top.
+func handOff(el trace.Element, give, recv history.Method) error {
+	g, r := el.Ops[0], el.Ops[1]
+	if g.Method != give {
+		g, r = r, g
+	}
+	if g.Method != give || r.Method != recv {
+		return reject("a hand-off pairs one giving with one receiving operation: %[1]s", el)
+	}
+	if g.Arg.Kind != history.KindInt || g.Ret != history.Bool(true) {
+		return reject("a hand-off's giving operation must be int ▷ true: %[1]s", el)
+	}
+	if r.Ret != history.Pair(true, g.Arg.N) {
+		return &rejection{format: "a hand-off's receiver must return the given value %[3]d: %[1]s", el: el, n: g.Arg.N}
+	}
+	return nil
+}
+
+// resolveHandOff completes the pending operations of a hand-off pair: the
+// give operation returns true and its partner (true, v), v being the
+// give's argument.
+func resolveHandOff(ops []trace.Operation, pendingIdx []int, give history.Method) [][]history.Value {
+	var v history.Value
+	for _, op := range ops {
+		if op.Method == give {
+			v = op.Arg
+		}
+	}
+	if v.IsZero() {
+		return nil
+	}
+	rets := make([]history.Value, 0, len(pendingIdx))
+	for _, i := range pendingIdx {
+		if ops[i].Method == give {
+			rets = append(rets, history.Bool(true))
+		} else {
+			rets = append(rets, history.Pair(true, v.N))
+		}
+	}
+	return [][]history.Value{rets}
+}

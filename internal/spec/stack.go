@@ -2,8 +2,6 @@ package spec
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"calgo/internal/history"
 	"calgo/internal/trace"
@@ -15,45 +13,13 @@ const (
 	MethodPop  history.Method = "pop"
 )
 
-// stackState is an immutable LIFO stack of integers. The last slice element
-// is the top of the stack.
+// stackState is an immutable LIFO stack of integers; the back of items
+// is the top.
 type stackState struct {
-	items string // canonical encoding, e.g. "1,2,3"
+	items ints
 }
 
-func (s stackState) Key() string { return s.items }
-
-func (s stackState) push(v int64) stackState {
-	enc := strconv.FormatInt(v, 10)
-	if s.items == "" {
-		return stackState{items: enc}
-	}
-	return stackState{items: s.items + "," + enc}
-}
-
-func (s stackState) top() (int64, bool) {
-	if s.items == "" {
-		return 0, false
-	}
-	i := strings.LastIndexByte(s.items, ',')
-	n, err := strconv.ParseInt(s.items[i+1:], 10, 64)
-	if err != nil {
-		panic("spec: corrupt stack state " + s.items)
-	}
-	return n, true
-}
-
-func (s stackState) pop() (stackState, int64, bool) {
-	v, ok := s.top()
-	if !ok {
-		return s, 0, false
-	}
-	i := strings.LastIndexByte(s.items, ',')
-	if i < 0 {
-		return stackState{}, v, true
-	}
-	return stackState{items: s.items[:i]}, v, true
-}
+func (s stackState) Key() string { return string(s.items) }
 
 // Stack is the sequential stack specification of §4: a history is admitted
 // iff it is a well-defined sequential history over the empty initial stack
@@ -121,35 +87,35 @@ func (st Stack) Step(s State, el trace.Element) (State, error) {
 		}
 		if !op.Ret.B {
 			if !st.AllowContention {
-				return nil, fmt.Errorf("push cannot fail in the abstract stack: %s", el)
+				return nil, reject("push cannot fail in the abstract stack: %[1]s", el)
 			}
 			return ss, nil // contention failure: no-op
 		}
-		return ss.push(op.Arg.N), nil
+		return stackState{ss.items.push(op.Arg.N)}, nil
 	case MethodPop:
 		if op.Arg.Kind != history.KindUnit || op.Ret.Kind != history.KindPair {
 			return nil, fmt.Errorf("pop must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
 		}
 		if !op.Ret.B {
 			if op.Ret.N != 0 {
-				return nil, fmt.Errorf("failed pop must return (false,0): %s", el)
+				return nil, reject("failed pop must return (false,0): %[1]s", el)
 			}
 			if st.AllowContention {
 				return ss, nil // empty or contention: no-op
 			}
-			if _, nonEmpty := ss.top(); nonEmpty {
-				return nil, fmt.Errorf("pop may fail only on the empty stack, state [%s]", ss.items)
+			if ss.items != "" {
+				return nil, &rejection{format: "pop may fail only on the empty stack, state [%[2]s]", state: ss.items}
 			}
 			return ss, nil
 		}
-		next, v, nonEmpty := ss.pop()
+		v, rest, nonEmpty := ss.items.back()
 		if !nonEmpty {
-			return nil, fmt.Errorf("successful pop on empty stack: %s", el)
+			return nil, reject("successful pop on empty stack: %[1]s", el)
 		}
 		if v != op.Ret.N {
-			return nil, fmt.Errorf("pop returned %d but top is %d", op.Ret.N, v)
+			return nil, &rejection{format: "pop returned %[3]d but top is %[4]d", n: op.Ret.N, m: v}
 		}
-		return next, nil
+		return stackState{rest}, nil
 	default:
 		return nil, fmt.Errorf("unknown method %s", op.Method)
 	}
@@ -174,7 +140,7 @@ func (st Stack) ResolveReturns(s State, ops []trace.Operation, pendingIdx []int)
 			candidates = append(candidates, history.Bool(false))
 		}
 	case MethodPop:
-		if v, nonEmpty := ss.top(); nonEmpty {
+		if v, _, nonEmpty := ss.items.back(); nonEmpty {
 			candidates = append(candidates, history.Pair(true, v))
 			if st.AllowContention {
 				candidates = append(candidates, history.Pair(false, 0))

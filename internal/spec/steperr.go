@@ -1,18 +1,25 @@
 package spec
 
-import "calgo/internal/trace"
+import (
+	"fmt"
 
-// rejection is a Step error that renders the offending CA-element lazily.
-// The checker's subset enumeration probes Step with speculative elements
-// and discards almost every rejection unread, so eagerly formatting the
-// element (fmt.Errorf with %s) would dominate the search's allocation
-// profile for nothing.
+	"calgo/internal/trace"
+)
+
+// rejection is a Step error that formats only when read. The checker's
+// subset enumeration probes Step with speculative elements and discards
+// almost every rejection unread, so formatting the element, the state or
+// the values eagerly would dominate the search's allocation profile for
+// nothing. format takes its operands by explicit index: %[1]s is el,
+// %[2]s the state, and %[3]d and %[4]d the integers n and m.
 type rejection struct {
-	msg string
-	el  trace.Element
+	format string
+	el     trace.Element
+	state  ints
+	n, m   int64
 }
 
-func (r *rejection) Error() string { return r.msg + ": " + r.el.String() }
+func (r *rejection) Error() string { return fmt.Sprintf(r.format, r.el, r.state, r.n, r.m) }
 
-// reject builds a lazily-formatted Step rejection for el.
-func reject(msg string, el trace.Element) error { return &rejection{msg: msg, el: el} }
+// reject builds a rejection of el whose format uses el alone.
+func reject(format string, el trace.Element) error { return &rejection{format: format, el: el} }

@@ -61,7 +61,7 @@ func (q SyncQueue) Step(s State, el trace.Element) (State, error) {
 				return nil, fmt.Errorf("put must be int ▷ bool, got %s ▷ %s", op.Arg, op.Ret)
 			}
 			if op.Ret.B {
-				return nil, reject("a successful put cannot stand alone", el)
+				return nil, reject("a successful put cannot stand alone: %[1]s", el)
 			}
 			return s, nil
 		case MethodTake:
@@ -69,28 +69,18 @@ func (q SyncQueue) Step(s State, el trace.Element) (State, error) {
 				return nil, fmt.Errorf("take must be () ▷ (bool,int), got %s ▷ %s", op.Arg, op.Ret)
 			}
 			if op.Ret.B {
-				return nil, reject("a successful take cannot stand alone", el)
+				return nil, reject("a successful take cannot stand alone: %[1]s", el)
 			}
 			if op.Ret.N != 0 {
-				return nil, fmt.Errorf("failed take must return (false,0): %s", el)
+				return nil, reject("failed take must return (false,0): %[1]s", el)
 			}
 			return s, nil
 		default:
 			return nil, fmt.Errorf("unknown method %s", op.Method)
 		}
 	case 2:
-		put, take := el.Ops[0], el.Ops[1]
-		if put.Method != MethodPut {
-			put, take = take, put
-		}
-		if put.Method != MethodPut || take.Method != MethodTake {
-			return nil, fmt.Errorf("a hand-off pairs one put with one take: %s", el)
-		}
-		if put.Arg.Kind != history.KindInt || put.Ret != history.Bool(true) {
-			return nil, fmt.Errorf("hand-off put must be int ▷ true: %s", el)
-		}
-		if take.Ret != history.Pair(true, put.Arg.N) {
-			return nil, fmt.Errorf("take must receive the put value %d: %s", put.Arg.N, el)
+		if err := handOff(el, MethodPut, MethodTake); err != nil {
+			return nil, err
 		}
 		return s, nil
 	default:
@@ -108,24 +98,7 @@ func (q SyncQueue) ResolveReturns(_ State, ops []trace.Operation, pendingIdx []i
 		}
 		return [][]history.Value{{history.Pair(false, 0)}}
 	case 2:
-		var putArg history.Value
-		for _, op := range ops {
-			if op.Method == MethodPut {
-				putArg = op.Arg
-			}
-		}
-		if putArg.IsZero() {
-			return nil
-		}
-		rets := make([]history.Value, 0, len(pendingIdx))
-		for _, i := range pendingIdx {
-			if ops[i].Method == MethodPut {
-				rets = append(rets, history.Bool(true))
-			} else {
-				rets = append(rets, history.Pair(true, putArg.N))
-			}
-		}
-		return [][]history.Value{rets}
+		return resolveHandOff(ops, pendingIdx, MethodPut)
 	default:
 		return nil
 	}
