@@ -210,9 +210,9 @@ func BenchmarkAgrees(b *testing.B) {
 }
 
 // BenchmarkCALHotPath measures checker node throughput (states/sec) on
-// the B3 swap-history generator: the series gating the bitset +
-// incremental-ready rewrite of the search core (before/after numbers in
-// EXPERIMENTS.md §B10).
+// the B3 swap-history generator: the series gating the rewrite of the
+// search core around per-thread heads and recycled scratch (before/after
+// numbers in EXPERIMENTS.md §B10).
 func BenchmarkCALHotPath(b *testing.B) {
 	for _, cfg := range []struct{ rounds, pairs int }{
 		{20, 1}, {40, 1}, {10, 2}, {20, 2}, {10, 3},

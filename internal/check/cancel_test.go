@@ -116,6 +116,37 @@ func TestCALMemoBudget(t *testing.T) {
 	}
 }
 
+// TestCALMemoBudgetLongChain charges each memoized node for its own key
+// only: a node's key holds one head per thread, not a mask of every
+// operation. One thread's chain of n failing exchanges, the last one
+// claiming a partner it never had, memoizes all n nodes on the way back,
+// and while each key costs a few bytes plus the per-entry overhead the
+// whole chain fits in 100 bytes per operation.
+func TestCALMemoBudgetLongChain(t *testing.T) {
+	const n = 4096
+	var h history.History
+	for i := 0; i < n; i++ {
+		ret := history.Pair(false, int64(i))
+		if i == n-1 {
+			ret = history.Pair(true, 99)
+		}
+		h = append(h, inv(1, objE, spec.MethodExchange, history.Int(int64(i))), res(1, objE, spec.MethodExchange, ret))
+	}
+	r, err := CAL(context.Background(), h, spec.NewExchanger(objE), WithMemoBudget(100*n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Verdict == Unknown {
+		t.Fatalf("Unknown (%s, %s); want Unsat within a %d-byte memo budget", r.Unknown.Reason, r.Unknown.Frontier, 100*n)
+	}
+	if r.Verdict != Unsat {
+		t.Fatalf("verdict = %v, want Unsat", r.Verdict)
+	}
+	if r.States != n {
+		t.Errorf("States = %d, want %d", r.States, n)
+	}
+}
+
 func TestCALPartialWitness(t *testing.T) {
 	// A satisfiable pairing followed by the exponential adversary: the
 	// deepest path linearizes the exchange pair before stalling, so the

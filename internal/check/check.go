@@ -23,6 +23,7 @@ package check
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -187,46 +188,6 @@ type abortError struct{ cause error }
 func (a *abortError) Error() string { return a.cause.Error() }
 func (a *abortError) Unwrap() error { return a.cause }
 
-// bitset is a packed linearized-operation mask; one bit per operation.
-type bitset []uint64
-
-func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
-func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
-func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
-func bitsetEqual(a, b bitset) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// memoEntry is one memoized failed node: the exact linearized mask and
-// spec-state key, stored under their combined hash. Exactness matters —
-// the hash only buckets; entries are compared in full, so collisions can
-// never flip a verdict.
-type memoEntry struct {
-	mask    bitset
-	specKey string
-}
-
-// memoHash mixes the linearized mask and the spec-state key (FNV-1a over
-// mask words, then key bytes) into the memo bucket hash.
-func memoHash(mask bitset, specKey string) uint64 {
-	h := uint64(14695981039346656037)
-	for _, w := range mask {
-		h ^= w
-		h *= 1099511628211
-	}
-	for i := 0; i < len(specKey); i++ {
-		h ^= uint64(specKey[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 type searcher struct {
 	ctx      context.Context
 	sp       spec.Spec
@@ -236,21 +197,23 @@ type searcher struct {
 	ops      []history.Op
 
 	// Linearization state, maintained incrementally by linearize and
-	// unlinearize rather than recomputed per node: the packed mask, the
-	// linearized counts, and each thread's head. Every thread is
-	// sequential, so its operations form a chain under the real-time
-	// order ≺H and the linearized ones are a prefix of that chain.
-	linearized bitset
-	nlin       int     // linearized operations
-	nlinDone   int     // linearized completed (non-pending) operations
-	totalDone  int     // completed operations in the history
-	thread     []int32 // dense thread index per operation
-	next       []int32 // the same thread's next operation, -1 if none
-	head       []int32 // per thread: first unlinearized operation, -1 if none
+	// unlinearize rather than recomputed per node: the linearized counts
+	// and each thread's head. Every thread is sequential, so its
+	// operations form a chain under the real-time order ≺H and the
+	// linearized ones are a prefix of that chain: the heads name the
+	// linearized set exactly.
+	nlin      int     // linearized operations
+	nlinDone  int     // linearized completed (non-pending) operations
+	totalDone int     // completed operations in the history
+	thread    []int32 // dense thread index per operation
+	next      []int32 // the same thread's next operation, -1 if none
+	head      []int32 // per thread: first unlinearized operation, -1 if none
 
-	memo      map[uint64][]memoEntry
+	// memo holds the keys (see memoKey) of the failed nodes; keyBuf is
+	// the scratch memoKey builds them in.
+	memo      map[string]struct{}
 	memoBytes int
-	maskArena []uint64 // chunk allocator for memoized masks
+	keyBuf    []byte
 	states    int
 	memoHits  int
 	elements  int
@@ -279,12 +242,10 @@ type searcher struct {
 	opsFree    [][]trace.Operation
 
 	// Failure diagnostics: the deepest linearization reached. dfs only
-	// counts a new best and marks it stale; tryElement copies the mask
-	// and witness when it backs out of that node, so a long Sat path
-	// copies nothing.
+	// counts a new best and marks it stale; tryElement copies the witness
+	// when it backs out of that node, so a long Sat path copies nothing.
 	bestCount   int
 	bestStale   bool
-	bestMask    bitset
 	bestWitness trace.Trace
 }
 
@@ -307,15 +268,10 @@ func (s *searcher) tick() error {
 }
 
 // setup sizes the search state for s.ops in a handful of allocations:
-// both bitsets share one word slice and both per-operation vectors
-// another. CheckMany amortizes nothing across histories, so per-call
-// setup cost is part of the hot path.
+// both per-operation vectors share one slice. CheckMany amortizes nothing
+// across histories, so per-call setup cost is part of the hot path.
 func (s *searcher) setup() {
 	n := len(s.ops)
-	words := (n + 63) / 64
-	maskWords := make([]uint64, 2*words)
-	s.linearized = bitset(maskWords[:words:words])
-	s.bestMask = bitset(maskWords[words:])
 	ints := make([]int32, 2*n)
 	s.thread, s.next = ints[:n:n], ints[n:]
 	last := make(map[history.ThreadID]int32) // thread -> its latest op so far
@@ -370,17 +326,19 @@ func (s *searcher) run() (Result, error) {
 	}
 	if !ok {
 		res.Verdict = Unsat
-		res.Reason = s.failureReason()
 		// The searcher is single-use, so its deepest-partial buffer can be
 		// handed out without copying.
 		res.Explanation = &Explanation{Verdict: Unsat, Ops: s.ops, Witness: s.bestWitness}
+		res.Reason = s.failureReason(res.Explanation.Stuck())
 		return s.finish(res), nil
 	}
 	res.Verdict = Sat
 	res.OK = true
 	res.Witness = s.witness
+	// Every completed operation is linearized, so a head that remains is
+	// its thread's last operation, pending, and dropped by the completion.
 	for i, op := range s.ops {
-		if !s.linearized.get(i) {
+		if s.head[s.thread[i]] == int32(i) {
 			res.Dropped = append(res.Dropped, op)
 		}
 	}
@@ -424,27 +382,24 @@ func (s *searcher) frontier() Frontier {
 	}
 }
 
-func (s *searcher) failureReason() string {
+// failureReason renders the Unsat reason, naming the first four of the
+// completed operations the deepest search path left unlinearized.
+func (s *searcher) failureReason(stuck []int) string {
 	reason := fmt.Sprintf("no completion of the history agrees with any CA-trace admitted by %s (explored %d states)",
 		s.sp.Name(), s.states)
-	if s.bestMask == nil {
-		return reason
-	}
-	var stuck []string
-	for i, op := range s.ops {
-		if !s.bestMask.get(i) && !op.Pending {
-			stuck = append(stuck, op.String())
-			if len(stuck) == 4 {
-				stuck = append(stuck, "...")
-				break
-			}
-		}
-	}
 	if len(stuck) == 0 {
 		return reason
 	}
+	var names []string
+	for _, i := range stuck {
+		names = append(names, s.ops[i].String())
+		if len(names) == 4 {
+			names = append(names, "...")
+			break
+		}
+	}
 	return fmt.Sprintf("%s; best search linearized %d of %d operations, stuck on %s",
-		reason, s.bestCount, len(s.ops), strings.Join(stuck, ", "))
+		reason, s.bestCount, len(s.ops), strings.Join(names, ", "))
 }
 
 // pushReady appends the ready operations to readyStack in ascending
@@ -473,7 +428,6 @@ func (s *searcher) pushReady() []int32 {
 // linearize marks op i linearized, updating the counts and advancing its
 // thread's head.
 func (s *searcher) linearize(i int) {
-	s.linearized.set(i)
 	s.nlin++
 	if !s.ops[i].Pending {
 		s.nlinDone++
@@ -486,7 +440,6 @@ func (s *searcher) linearize(i int) {
 // guarantees.
 func (s *searcher) unlinearize(i int) {
 	s.head[s.thread[i]] = int32(i)
-	s.linearized.clear(i)
 	s.nlin--
 	if !s.ops[i].Pending {
 		s.nlinDone--
@@ -519,17 +472,19 @@ func (s *searcher) getOpsBuf(n int) []trace.Operation {
 
 func (s *searcher) putOpsBuf(b []trace.Operation) { s.opsFree = append(s.opsFree, b[:0]) }
 
-// saveMask copies the current linearized mask into the mask arena,
-// amortizing one allocation over many memoized nodes.
-func (s *searcher) saveMask() bitset {
-	w := len(s.linearized)
-	if len(s.maskArena) < w {
-		s.maskArena = make([]uint64, 1024*w)
+// memoKey builds the current node's memo key in keyBuf: each thread's
+// head as a uvarint of head+1, then the spec-state key. The heads name
+// the linearized set, a uvarint delimits itself and every key holds one
+// per thread, so equal keys mean equal (linearized set, spec state)
+// pairs. The key is valid until the next call.
+func (s *searcher) memoKey(specKey string) []byte {
+	k := s.keyBuf[:0]
+	for _, h := range s.head {
+		k = binary.AppendUvarint(k, uint64(h+1))
 	}
-	m := bitset(s.maskArena[:w:w])
-	s.maskArena = s.maskArena[w:]
-	copy(m, s.linearized)
-	return m
+	k = append(k, specKey...)
+	s.keyBuf = k
+	return k
 }
 
 func (s *searcher) dfs(st spec.State) (bool, error) {
@@ -544,17 +499,15 @@ func (s *searcher) dfs(st spec.State) (bool, error) {
 		s.bestStale = true
 	}
 	specKey := st.Key()
-	var hash uint64
-	if s.cfg.memo {
-		hash = memoHash(s.linearized, specKey)
-		for _, m := range s.memo[hash] {
-			if m.specKey == specKey && bitsetEqual(m.mask, s.linearized) {
-				s.memoHits++
-				if s.tr != nil {
-					s.tr.MemoHit(s.nlin)
-				}
-				return false, nil
+	// A path that has failed nowhere yet has nothing to look up, so a
+	// straight Sat path builds no key.
+	if len(s.memo) > 0 {
+		if _, hit := s.memo[string(s.memoKey(specKey))]; hit {
+			s.memoHits++
+			if s.tr != nil {
+				s.tr.MemoHit(s.nlin)
 			}
+			return false, nil
 		}
 	}
 	s.states++
@@ -577,14 +530,17 @@ func (s *searcher) dfs(st spec.State) (bool, error) {
 		return false, err
 	}
 	if !ok && s.cfg.memo {
-		s.memoBytes += 8*len(s.linearized) + len(specKey) + 48
+		// The children overwrote keyBuf; backtracking has restored the
+		// heads, so rebuilding gives this node's key.
+		key := s.memoKey(specKey)
+		s.memoBytes += len(key) + 48
 		if s.cfg.memoBudget > 0 && s.memoBytes > s.cfg.memoBudget {
 			return false, &abortError{cause: fmt.Errorf("%w (limit %d bytes)", ErrMemoBudget, s.cfg.memoBudget)}
 		}
 		if s.memo == nil { // created on first insert; lookups tolerate nil
-			s.memo = make(map[uint64][]memoEntry)
+			s.memo = make(map[string]struct{})
 		}
-		s.memo[hash] = append(s.memo[hash], memoEntry{mask: s.saveMask(), specKey: specKey})
+		s.memo[string(key)] = struct{}{}
 	}
 	return ok, nil
 }
@@ -686,8 +642,7 @@ func (s *searcher) tryElement(st spec.State, subset []int32) (bool, error) {
 		}
 		if s.bestStale {
 			// No deeper node was reached since the best was counted, so
-			// the mask and witness are still the deepest node's.
-			copy(s.bestMask, s.linearized)
+			// the witness is still the deepest node's.
 			s.bestWitness = append(s.bestWitness[:0], s.witness...)
 			s.bestStale = false
 		}

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"testing"
@@ -40,15 +41,15 @@ func randomShapeHistory(rng *rand.Rand, ops int) history.History {
 
 // refReady is the ready set by Definition 3: the unlinearized operations
 // whose ≺H predecessors are all linearized, in ascending order.
-func refReady(rt [][]bool, lin bitset) []int32 {
+func refReady(rt [][]bool, lin []bool) []int32 {
 	var ready []int32
 	for i := range rt {
-		if lin.get(i) {
+		if lin[i] {
 			continue
 		}
 		blocked := false
 		for j := range rt {
-			if rt[j][i] && !lin.get(j) {
+			if rt[j][i] && !lin[j] {
 				blocked = true
 				break
 			}
@@ -60,11 +61,13 @@ func refReady(rt [][]bool, lin bitset) []int32 {
 	return ready
 }
 
-// TestReadyMatchesRTOrder checks pushReady's per-thread heads against
-// the real-time order itself: along random search paths that linearize
-// one ready operation at a time and sometimes unwind in LIFO order, the
-// ready set equals refReady's and no two ready operations are ordered by
-// ≺H, so compatible needs no real-time test.
+// TestReadyMatchesRTOrder checks the per-thread heads against the
+// real-time order itself: along random search paths that linearize one
+// ready operation at a time and sometimes unwind in LIFO order, the
+// heads name exactly the path's operations, the ready set equals
+// refReady's, no two ready operations are ordered by ≺H (so compatible
+// needs no real-time test), and two nodes get the same memo key iff
+// they have the same linearized set and spec-state key.
 func TestReadyMatchesRTOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 2000; iter++ {
@@ -72,10 +75,41 @@ func TestReadyMatchesRTOrder(t *testing.T) {
 		s := &searcher{ops: h.Operations()}
 		s.setup()
 		rt := history.RTOrder(s.ops)
-		var path []int // linearized operations, oldest first
+		// Spec-state keys that read like uvarint heads, so a key that
+		// does not delimit its heads from the spec key collides.
+		specKeys := []string{""}
+		for j := 0; j <= len(s.ops)+1; j++ {
+			specKeys = append(specKeys, string(binary.AppendUvarint(nil, uint64(j))))
+		}
+		keyOf := map[string]string{}  // reference set + spec key -> memo key
+		nodeOf := map[string]string{} // memo key -> reference set + spec key
+		var path []int                // linearized operations, oldest first
+		lin := make([]bool, len(s.ops))
 		for step := 0; step < 4*len(s.ops); step++ {
+			ref := make([]byte, len(s.ops))
+			for i := range s.ops {
+				head := s.head[s.thread[i]]
+				if got := head == -1 || int32(i) < head; got != lin[i] {
+					t.Fatalf("history %d step %d, linearized %v: heads %v say op %d linearized = %v\n%v", iter, step, path, s.head, i, got, h)
+				}
+				ref[i] = '0'
+				if lin[i] {
+					ref[i] = '1'
+				}
+			}
+			for _, sk := range specKeys {
+				node := string(ref) + "|" + sk
+				key := string(s.memoKey(sk))
+				if k, ok := keyOf[node]; ok && k != key {
+					t.Fatalf("history %d step %d: node %q got memo keys %q and %q", iter, step, node, k, key)
+				}
+				if n, ok := nodeOf[key]; ok && n != node {
+					t.Fatalf("history %d step %d: nodes %q and %q share memo key %q\n%v", iter, step, n, node, key, h)
+				}
+				keyOf[node], nodeOf[key] = key, node
+			}
 			ready := s.pushReady()
-			if want := refReady(rt, s.linearized); !slices.Equal(ready, want) {
+			if want := refReady(rt, lin); !slices.Equal(ready, want) {
 				t.Fatalf("history %d step %d, linearized %v: ready = %v, want %v\n%v", iter, step, path, ready, want, h)
 			}
 			for _, i := range ready {
@@ -95,12 +129,14 @@ func TestReadyMatchesRTOrder(t *testing.T) {
 			if len(path) > 0 && rng.Intn(4) == 0 {
 				for k := 1 + rng.Intn(len(path)); k > 0; k-- {
 					s.unlinearize(path[len(path)-1])
+					lin[path[len(path)-1]] = false
 					path = path[:len(path)-1]
 				}
 				continue
 			}
 			i := int(ready[rng.Intn(len(ready))])
 			s.linearize(i)
+			lin[i] = true
 			path = append(path, i)
 		}
 	}
