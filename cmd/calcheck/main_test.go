@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,6 +121,19 @@ func TestRunEndToEnd(t *testing.T) {
 		"res t1 I.update (true,2)",
 		"res t2 I.update (true,2)",
 	}, "\n"))
+	// One thread's chain of 4,096 failing exchanges, the last one claiming
+	// a partner it never had: every node is memoized on the way back, and
+	// each entry is charged for its own key, so 100 bytes per operation
+	// of memo budget suffice to prove the violation.
+	var chain []string
+	for i := 0; i < 4096; i++ {
+		ret := fmt.Sprintf("(false,%d)", i)
+		if i == 4095 {
+			ret = "(true,99)"
+		}
+		chain = append(chain, fmt.Sprintf("inv t1 E.exchange %d", i), "res t1 E.exchange "+ret)
+	}
+	exchangeChain := write("chain.txt", strings.Join(chain, "\n"))
 
 	tests := []struct {
 		name string
@@ -138,6 +152,7 @@ func TestRunEndToEnd(t *testing.T) {
 		{"batch violation dominates", []string{"-spec", "exchanger", "-workers", "2", swap, loneSuccess, swap}, 1},
 		{"snapshot threads 4", []string{"-spec", "snapshot", "-object", "I", "-threads", "4", snapshot}, 0},
 		{"snapshot threads 0 as remote", []string{"-spec", "snapshot", "-object", "I", "-threads", "0", snapshot}, 0},
+		{"memo budget fits a long chain", []string{"-spec", "exchanger", "-object", "E", "-engine", "dfs", "-memo-budget", "409600", exchangeChain}, 1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
